@@ -13,8 +13,7 @@ func TestSnapshotRestoreDeterminism(t *testing.T) {
 		for i := from; i < to; i++ {
 			pc := uint32(i*7) % 512
 			taken := (i*i)%3 == 0
-			preds = append(preds, p.Predict(pc))
-			p.Update(pc, taken)
+			preds = append(preds, p.Update(pc, taken))
 		}
 		return preds
 	}

@@ -9,14 +9,6 @@
 // allocation on misprediction.
 package bpred
 
-// Predictor is the interface the core uses.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint32) bool
-	// Update trains the predictor with the resolved outcome.
-	Update(pc uint32, taken bool)
-}
-
 const (
 	numBanks   = 4
 	bankBits   = 10 // 1024 entries per bank
@@ -79,44 +71,52 @@ func (t *TAGE) Stats() Stats { return t.stats }
 // ResetStats clears the counters, keeping the trained predictor state.
 func (t *TAGE) ResetStats() { t.stats = Stats{} }
 
-// foldHistory folds the first n history bits into width bits.
+// foldHistory folds the first n history bits into width bits (width ≤ 16):
+// the XOR of consecutive width-bit chunks, bit 0 = most recent, so history
+// bit i lands in folded bit i%width. Each chunk is cut from at most two
+// ghist words.
 func (t *TAGE) foldHistory(n, width uint) uint32 {
-	var folded uint32
-	var acc uint32
-	var accBits uint
-	for i := uint(0); i < n; i++ {
-		bit := uint32(t.ghist[i/64]>>(i%64)) & 1
-		acc |= bit << accBits
-		accBits++
-		if accBits == width {
-			folded ^= acc
-			acc, accBits = 0, 0
+	var folded uint64
+	for i := uint(0); i < n; i += width {
+		w, off := i/64, i%64
+		chunk := t.ghist[w] >> off
+		if off+width > 64 && w+1 < uint(len(t.ghist)) {
+			chunk |= t.ghist[w+1] << (64 - off)
 		}
+		folded ^= chunk & (1<<min(width, n-i) - 1)
 	}
-	folded ^= acc
-	return folded
+	return uint32(folded)
 }
 
-func (t *TAGE) bankIndex(pc uint32, b int) uint32 {
-	h := t.foldHistory(histLens[b], bankBits)
-	return (pc ^ pc>>bankBits ^ h ^ uint32(b)<<3) & (1<<bankBits - 1)
+// keys are one branch's bank indices and tags. Every table access of an
+// Update happens before its history push, so they are computed once.
+type keys struct {
+	idx [numBanks]uint32
+	tag [numBanks]uint16
 }
 
-func (t *TAGE) bankTag(pc uint32, b int) uint16 {
-	h := t.foldHistory(histLens[b], tagBits)
-	h2 := t.foldHistory(histLens[b], tagBits-1)
-	return uint16((pc ^ h ^ h2<<1) & (1<<tagBits - 1))
+// keysFor folds the history once per bank at the index width and once at
+// the tag width. The tag's second fold is tagBits-1 == bankBits wide, the
+// index fold itself.
+func (t *TAGE) keysFor(pc uint32) keys {
+	var k keys
+	for b := range k.idx {
+		hIdx := t.foldHistory(histLens[b], bankBits)
+		hTag := t.foldHistory(histLens[b], tagBits)
+		k.idx[b] = (pc ^ pc>>bankBits ^ hIdx ^ uint32(b)<<3) & (1<<bankBits - 1)
+		k.tag[b] = uint16((pc ^ hTag ^ hIdx<<1) & (1<<tagBits - 1))
+	}
+	return k
 }
 
 func (t *TAGE) baseIndex(pc uint32) uint32 { return pc & (1<<baseBits - 1) }
 
 // lookup finds the provider (longest matching bank) and the alternate.
-func (t *TAGE) lookup(pc uint32) (provider int, altPred, provPred bool) {
+func (t *TAGE) lookup(pc uint32, k keys) (provider int, altPred, provPred bool) {
 	provider = -1
 	alt := -1
 	for b := numBanks - 1; b >= 0; b-- {
-		e := &t.banks[b][t.bankIndex(pc, b)]
-		if e.tag == t.bankTag(pc, b) {
+		if t.banks[b][k.idx[b]].tag == k.tag[b] {
 			if provider < 0 {
 				provider = b
 			} else {
@@ -128,19 +128,13 @@ func (t *TAGE) lookup(pc uint32) (provider int, altPred, provPred bool) {
 	basePred := t.base[t.baseIndex(pc)] >= 0
 	altPred = basePred
 	if alt >= 0 {
-		altPred = t.banks[alt][t.bankIndex(pc, alt)].ctr >= 0
+		altPred = t.banks[alt][k.idx[alt]].ctr >= 0
 	}
 	provPred = basePred
 	if provider >= 0 {
-		provPred = t.banks[provider][t.bankIndex(pc, provider)].ctr >= 0
+		provPred = t.banks[provider][k.idx[provider]].ctr >= 0
 	}
 	return provider, altPred, provPred
-}
-
-// Predict implements Predictor.
-func (t *TAGE) Predict(pc uint32) bool {
-	_, _, pred := t.lookup(pc)
-	return pred
 }
 
 func (t *TAGE) nextRand() uint32 {
@@ -163,10 +157,12 @@ func bump(c int8, up bool, lo, hi int8) int8 {
 	return c
 }
 
-// Update implements Predictor. It must be called once per Predict, with
-// the same pc, in program order.
-func (t *TAGE) Update(pc uint32, taken bool) {
-	provider, altPred, pred := t.lookup(pc)
+// Update predicts the branch at pc, trains the predictor with the resolved
+// outcome, and returns the prediction it made before training. Branches
+// must be presented in program order.
+func (t *TAGE) Update(pc uint32, taken bool) bool {
+	k := t.keysFor(pc)
+	provider, altPred, pred := t.lookup(pc, k)
 	t.stats.Lookups++
 	if pred != taken {
 		t.stats.Mispredicts++
@@ -174,7 +170,7 @@ func (t *TAGE) Update(pc uint32, taken bool) {
 
 	// Update the provider (or the base predictor).
 	if provider >= 0 {
-		e := &t.banks[provider][t.bankIndex(pc, provider)]
+		e := &t.banks[provider][k.idx[provider]]
 		e.ctr = bump(e.ctr, taken, ctrMin, ctrMax)
 		provCorrect := (e.ctr >= 0) == taken // after update; close enough
 		if provCorrect && altPred != taken && e.useful < usefulMax {
@@ -193,9 +189,9 @@ func (t *TAGE) Update(pc uint32, taken bool) {
 		start := provider + 1
 		allocated := false
 		for b := start; b < numBanks; b++ {
-			e := &t.banks[b][t.bankIndex(pc, b)]
+			e := &t.banks[b][k.idx[b]]
 			if e.useful == 0 {
-				e.tag = t.bankTag(pc, b)
+				e.tag = k.tag[b]
 				e.useful = 0
 				if taken {
 					e.ctr = 0
@@ -209,7 +205,7 @@ func (t *TAGE) Update(pc uint32, taken bool) {
 		if !allocated {
 			// Decay a candidate so the future allocation can succeed.
 			b := start + int(t.nextRand())%(numBanks-start)
-			e := &t.banks[b][t.bankIndex(pc, b)]
+			e := &t.banks[b][k.idx[b]]
 			if e.useful > 0 {
 				e.useful--
 			}
@@ -236,4 +232,5 @@ func (t *TAGE) Update(pc uint32, taken bool) {
 			}
 		}
 	}
+	return pred
 }

@@ -63,13 +63,13 @@ func TestCorrelatedBranches(t *testing.T) {
 	var lookups, miss int
 	for i := 0; i < 20000; i++ {
 		pc, taken := stream(i)
+		pred := p.Update(pc, taken)
 		if pc == 0x204 {
 			lookups++
-			if p.Predict(pc) != taken {
+			if pred != taken {
 				miss++
 			}
 		}
-		p.Update(pc, taken)
 	}
 	rate := float64(miss) / float64(lookups)
 	if rate > 0.10 {

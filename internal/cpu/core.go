@@ -573,9 +573,7 @@ func (c *Core) Emit(in *isa.Inst) {
 
 	// Branch resolution and misprediction redirect.
 	if in.Op == isa.OpBranch {
-		pred := c.bp.Predict(in.BranchID)
-		c.bp.Update(in.BranchID, in.Taken)
-		if pred != in.Taken {
+		if c.bp.Update(in.BranchID, in.Taken) != in.Taken {
 			r := done + uint64(c.cfg.MispredictPenalty)
 			if r > c.redirect {
 				c.redirect = r

@@ -36,14 +36,13 @@ func (c *Core) Insts() uint64 { return c.insts }
 //
 // It reproduces, access for access, the cache/predictor/BWB reference
 // stream of the detailed path — I-line fetches, data reads/writes, HBT way
-// walks, bounds-store drains, resize invalidations, Update-only predictor
-// training (TAGE's Update performs its own lookup, so training without
-// Predict leaves bit-identical tables) — while skipping everything keyed to
-// cycles. One timing-dependent effect is deliberately absent and is part of
-// the sampling error budget quantified by the error-bound test: bounds
-// forwarding from in-flight bndstrs (it needs issue/drain cycles), so a
-// signed access that detailed mode would have forwarded still walks its HBT
-// ways here. With forwarding disabled the warmed state is bit-identical to
+// walks, bounds-store drains, resize invalidations, predictor training
+// (the same TAGE Update the detailed path makes, its prediction unused
+// here) — while skipping everything keyed to cycles. One timing-dependent
+// effect is deliberately absent and is part of the sampling error budget
+// quantified by the error-bound test: bounds forwarding from in-flight
+// bndstrs (it needs issue/drain cycles), so a signed access that detailed
+// mode would have forwarded still walks its HBT ways here. With forwarding disabled the warmed state is bit-identical to
 // detailed consumption (TestFFWarmingMatchesDetailed pins this).
 func (c *Core) emitFF(in *isa.Inst) {
 	c.insts++

@@ -10,12 +10,17 @@ import (
 )
 
 // hotRootFuncs are the per-package built-in hot-path roots: the timing
-// core's per-instruction commit surface. Keys are package import paths,
+// core's per-instruction commit surface, plus the per-instruction callees
+// it reaches in other packages (the call graph is intra-package, so each
+// package names its own entry points). Keys are package import paths,
 // values are "Receiver.Method" (or bare function) names. A function can
 // also opt in anywhere with an `//aoslint:hotpath` doc-comment line.
 var hotRootFuncs = map[string][]string{
-	"aos/internal/cpu":  {"Core.Emit", "Core.EmitBatch"},
-	"aos/internal/core": {"Machine.emit", "Machine.emitScalar", "Machine.Flush"},
+	"aos/internal/cpu":   {"Core.Emit", "Core.EmitBatch"},
+	"aos/internal/core":  {"Machine.emit", "Machine.emitScalar", "Machine.Flush"},
+	"aos/internal/bpred": {"TAGE.Update"},
+	"aos/internal/cache": {"Hierarchy.AccessData", "Hierarchy.AccessBounds", "Hierarchy.FetchInst"},
+	"aos/internal/mcu":   {"BWB.Lookup", "BWB.Update"},
 }
 
 // HotPathAlloc flags allocation-prone constructs — make/new, append
@@ -28,7 +33,7 @@ var hotRootFuncs = map[string][]string{
 // amortized or cold carry an //aoslint:allow with the argument why.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "no allocation-prone constructs in functions reachable from hot-path roots (cpu.Core/core.Machine commit, //aoslint:hotpath)",
+	Doc:  "no allocation-prone constructs in functions reachable from hot-path roots (cpu.Core/core.Machine commit, bpred.TAGE.Update, cache.Hierarchy accesses, mcu.BWB, //aoslint:hotpath)",
 	Run: func(p *Pass) {
 		decls, graph := packageCallGraph(p.Pkg)
 		hot := hotFunctions(p.Pkg, decls, graph)
