@@ -43,19 +43,16 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU stamp
-}
-
-// Cache is one set-associative cache level.
+// Cache is one set-associative cache level. Each line is one word,
+// (tag+1)<<1 | dirty, with 0 meaning invalid, and each set's words are
+// kept most recently used first: a hit moves its line to the front, a
+// miss drops the set's last word and inserts at the front. Invalid words
+// therefore always form a suffix of their set, and the last word is the
+// true-LRU victim once the set is full (DESIGN.md §10.6).
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	lines   []uint64 // [set*ways+way], each set most recently used first
 	setBits uint
-	tick    uint64
 	stats   Stats
 }
 
@@ -69,14 +66,9 @@ func NewCache(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets (size %d, ways %d) not a power of two",
 			nSets, cfg.SizeBytes, cfg.Ways)
 	}
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		lines:   make([]uint64, nSets*cfg.Ways),
 		setBits: uint(bits.TrailingZeros(uint(nSets))),
 	}, nil
 }
@@ -96,57 +88,51 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Latency returns the configured access latency.
 func (c *Cache) Latency() int { return c.cfg.Latency }
 
+// locate returns the words of addr's set, the set's index, and the word
+// addr's line has when clean.
+func (c *Cache) locate(addr uint64) (set []uint64, setIdx, key uint64) {
+	lineAddr := addr / LineBytes
+	setIdx = lineAddr & ((1 << c.setBits) - 1)
+	first := int(setIdx) * c.cfg.Ways
+	return c.lines[first : first+c.cfg.Ways], setIdx, (lineAddr>>c.setBits + 1) << 1
+}
+
 // Access looks up the line containing addr, allocating it on miss. write
 // marks the line dirty. It reports whether the access hit, and whether the
 // allocation evicted a dirty victim (whose line address is returned for
 // write-back accounting).
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victimDirty bool, victimAddr uint64) {
-	c.tick++
-	lineAddr := addr / LineBytes
-	set := lineAddr & ((1 << c.setBits) - 1)
-	tag := lineAddr >> c.setBits
-	ways := c.sets[set]
-
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].used = c.tick
-			if write {
-				ways[i].dirty = true
-			}
+	set, setIdx, key := c.locate(addr)
+	var dirty uint64
+	if write {
+		dirty = 1
+	}
+	for i, w := range set {
+		if w&^1 == key {
+			copy(set[1:i+1], set[:i])
+			set[0] = w | dirty
 			c.stats.Hits++
 			return true, false, 0
 		}
 	}
 	c.stats.Misses++
 
-	// Choose a victim: an invalid way, else true-LRU.
-	vi := 0
-	for i := range ways {
-		if !ways[i].valid {
-			vi = i
-			goto fill
-		}
-		if ways[i].used < ways[vi].used {
-			vi = i
-		}
-	}
-	if ways[vi].dirty {
+	// The last word is invalid while the set has room, else the LRU line.
+	if v := set[len(set)-1]; v&1 != 0 {
 		victimDirty = true
-		victimAddr = (ways[vi].tag<<c.setBits | set) * LineBytes
+		victimAddr = ((v>>1-1)<<c.setBits | setIdx) * LineBytes
 		c.stats.Writebacks++
 	}
-fill:
-	ways[vi] = line{tag: tag, valid: true, dirty: write, used: c.tick}
+	copy(set[1:], set)
+	set[0] = key | dirty
 	return false, victimDirty, victimAddr
 }
 
 // Contains reports whether addr's line is resident (no state change).
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr / LineBytes
-	set := lineAddr & ((1 << c.setBits) - 1)
-	tag := lineAddr >> c.setBits
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	set, _, key := c.locate(addr)
+	for _, w := range set {
+		if w&^1 == key {
 			return true
 		}
 	}
@@ -156,15 +142,6 @@ func (c *Cache) Contains(addr uint64) bool {
 // ResetStats clears the hit/miss counters without touching cache contents
 // (for warmup-then-measure methodology).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// InvalidateAll drops every line (without write-back; used between runs).
-func (c *Cache) InvalidateAll() {
-	for _, s := range c.sets {
-		for i := range s {
-			s[i] = line{}
-		}
-	}
-}
 
 // Traffic tallies the bytes moved between hierarchy levels (Fig 18).
 type Traffic struct {

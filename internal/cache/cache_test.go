@@ -71,15 +71,6 @@ func TestDirtyWriteback(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := MustNewCache(small())
-	c.Access(0, true)
-	c.InvalidateAll()
-	if c.Contains(0) {
-		t.Error("line survived InvalidateAll")
-	}
-}
-
 func TestMissRate(t *testing.T) {
 	var s Stats
 	if s.MissRate() != 0 {

@@ -34,39 +34,44 @@ func TestSetResidencyInvariant(t *testing.T) {
 }
 
 // TestHitMissAgainstReferenceModel compares the cache against a naive
-// per-set LRU reference on a random access stream.
+// per-set LRU reference on a random access stream, for every geometry in
+// refGeometries.
 func TestHitMissAgainstReferenceModel(t *testing.T) {
-	const ways = 4
-	c := MustNewCache(Config{SizeBytes: 8192, Ways: ways, Latency: 1}) // 32 sets
-	nSets := uint64(32)
+	for _, cfg := range refGeometries {
+		ways := cfg.Ways
+		c := MustNewCache(cfg)
+		nSets := uint64(cfg.SizeBytes / (ways * LineBytes))
 
-	ref := make(map[uint64][]uint64) // set -> LRU-ordered line addresses (front = MRU)
-	refAccess := func(line uint64) bool {
-		set := line % nSets
-		lines := ref[set]
-		for i, l := range lines {
-			if l == line {
-				// hit: move to front
-				copy(lines[1:i+1], lines[:i])
-				lines[0] = line
-				return true
+		ref := make(map[uint64][]uint64) // set -> LRU-ordered line addresses (front = MRU)
+		refAccess := func(line uint64) bool {
+			set := line % nSets
+			lines := ref[set]
+			for i, l := range lines {
+				if l == line {
+					// hit: move to front
+					copy(lines[1:i+1], lines[:i])
+					lines[0] = line
+					return true
+				}
 			}
+			lines = append([]uint64{line}, lines...)
+			if len(lines) > ways {
+				lines = lines[:ways]
+			}
+			ref[set] = lines
+			return false
 		}
-		lines = append([]uint64{line}, lines...)
-		if len(lines) > ways {
-			lines = lines[:ways]
-		}
-		ref[set] = lines
-		return false
-	}
 
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 50_000; i++ {
-		line := uint64(rng.Intn(256)) // 256 lines over 32 sets x 4 ways: contention
-		addr := line * LineBytes
-		hit, _, _ := c.Access(addr, rng.Intn(2) == 0)
-		if want := refAccess(line); hit != want {
-			t.Fatalf("access %d (line %d): cache hit=%v, reference hit=%v", i, line, hit, want)
+		rng := rand.New(rand.NewSource(99))
+		nLines := 2 * int(nSets) * ways // twice the capacity: contention
+		for i := 0; i < 50_000; i++ {
+			line := uint64(rng.Intn(nLines))
+			addr := line * LineBytes
+			hit, _, _ := c.Access(addr, rng.Intn(2) == 0)
+			if want := refAccess(line); hit != want {
+				t.Fatalf("%d sets x %d ways, access %d (line %d): cache hit=%v, reference hit=%v",
+					nSets, ways, i, line, hit, want)
+			}
 		}
 	}
 }

@@ -2,42 +2,31 @@ package cache
 
 import "fmt"
 
-// CacheState is a deep copy of one cache's line array and counters, taken
+// CacheState is a deep copy of one cache's line words and counters, taken
 // by Cache.Snapshot. Geometry (config, set count) is not carried: restore
 // targets are built from the same configuration, and Restore checks the
 // shapes match rather than trusting the caller.
 type CacheState struct {
-	lines []line // flat [set*ways+way] copy of the backing array
+	lines []uint64 // copy of Cache.lines
 	ways  int
-	tick  uint64
 	stats Stats
 }
 
 // Snapshot deep-copies the cache contents and statistics.
 func (c *Cache) Snapshot() *CacheState {
-	s := &CacheState{
-		lines: make([]line, 0, len(c.sets)*c.cfg.Ways),
-		ways:  c.cfg.Ways,
-		tick:  c.tick,
-		stats: c.stats,
-	}
-	for _, set := range c.sets {
-		s.lines = append(s.lines, set...)
-	}
-	return s
+	lines := make([]uint64, len(c.lines))
+	copy(lines, c.lines)
+	return &CacheState{lines: lines, ways: c.cfg.Ways, stats: c.stats}
 }
 
 // Restore rewinds the cache to a snapshot taken from an identically
 // configured cache. The snapshot stays valid for further restores.
 func (c *Cache) Restore(s *CacheState) error {
-	if len(s.lines) != len(c.sets)*c.cfg.Ways || s.ways != c.cfg.Ways {
-		return fmt.Errorf("cache: restore geometry mismatch: snapshot %d lines x %d ways, cache %d sets x %d ways",
-			len(s.lines), s.ways, len(c.sets), c.cfg.Ways)
+	if len(s.lines) != len(c.lines) || s.ways != c.cfg.Ways {
+		return fmt.Errorf("cache: restore geometry mismatch: snapshot %d lines x %d ways, cache %d lines x %d ways",
+			len(s.lines), s.ways, len(c.lines), c.cfg.Ways)
 	}
-	for i, set := range c.sets {
-		copy(set, s.lines[i*c.cfg.Ways:(i+1)*c.cfg.Ways])
-	}
-	c.tick = s.tick
+	copy(c.lines, s.lines)
 	c.stats = s.stats
 	return nil
 }

@@ -138,10 +138,12 @@ func (a *Allocator) SetHooks(h Hooks) { a.hooks = h }
 // Stats returns a copy of the allocator statistics.
 func (a *Allocator) Stats() Stats { return a.stats }
 
-// DrainAccesses returns and clears the recorded metadata accesses.
+// DrainAccesses returns and clears the recorded metadata accesses. The
+// log's backing array is reused, so the returned slice is valid only until
+// the next allocator call.
 func (a *Allocator) DrainAccesses() []Access {
 	out := a.accesses
-	a.accesses = nil
+	a.accesses = out[:0]
 	return out
 }
 

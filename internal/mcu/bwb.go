@@ -25,13 +25,6 @@ func BWBTag(addr uint64, ahc uint8, pac uint16) uint32 {
 // BWBEntries is the buffer capacity (Table IV).
 const BWBEntries = 64
 
-type bwbEntry struct {
-	tag   uint32
-	way   uint8
-	valid bool
-	used  uint64 // LRU stamp
-}
-
 // BWBStats counts buffer outcomes (Fig 17 reports the hit rate).
 type BWBStats struct {
 	Hits   uint64
@@ -58,12 +51,20 @@ func (s BWBStats) HitRate() float64 {
 
 // BWB is the bounds way buffer: a small fully-associative LRU cache from
 // tag to the HBT way where that chunk's bounds were last found, so bounds
-// checking can skip the way-0-first search.
+// checking can skip the way-0-first search. Each entry is one word,
+// bwbValid | tag<<8 | way, with 0 meaning empty, and entries are kept most
+// recently used first, so empty entries form a suffix and the last entry
+// is always the victim (DESIGN.md §10.6).
 type BWB struct {
-	entries [BWBEntries]bwbEntry
-	tick    uint64
+	entries [BWBEntries]uint64
 	stats   BWBStats
 }
+
+// bwbValid marks a filled entry; it sits above the 32-bit tag.
+const bwbValid = 1 << 40
+
+// bwbKey is an entry word for tag with the way bits clear.
+func bwbKey(tag uint32) uint64 { return bwbValid | uint64(tag)<<8 }
 
 // NewBWB returns an empty buffer.
 func NewBWB() *BWB { return &BWB{} }
@@ -74,47 +75,48 @@ func (b *BWB) Stats() BWBStats { return b.stats }
 // ResetStats clears the counters, keeping the buffer contents.
 func (b *BWB) ResetStats() { b.stats = BWBStats{} }
 
+// find returns tag's entry index, or -1.
+func (b *BWB) find(tag uint32) int {
+	key := bwbKey(tag)
+	for i, e := range b.entries[:] {
+		if e&^0xFF == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// promote moves entry i to the front as e, shifting the more recent
+// entries back by one (entry i's old value, or the last, falls off).
+func (b *BWB) promote(i int, e uint64) {
+	copy(b.entries[1:i+1], b.entries[:i])
+	b.entries[0] = e
+}
+
 // Lookup returns the remembered way for tag. Misses are counted; the
 // caller then starts its search from way 0.
 func (b *BWB) Lookup(tag uint32) (way int, ok bool) {
-	b.tick++
-	for i := range b.entries {
-		e := &b.entries[i]
-		if e.valid && e.tag == tag {
-			e.used = b.tick
-			b.stats.Hits++
-			return int(e.way), true
-		}
+	i := b.find(tag)
+	if i < 0 {
+		b.stats.Misses++
+		return 0, false
 	}
-	b.stats.Misses++
-	return 0, false
+	e := b.entries[i]
+	b.promote(i, e)
+	b.stats.Hits++
+	return int(e & 0xFF), true
 }
 
 // Update records the way where a bounds operation last found (or stored)
 // valid bounds. Called when an instruction retires from the MCQ.
 func (b *BWB) Update(tag uint32, way int) {
-	b.tick++
-	vi := 0
-	for i := range b.entries {
-		e := &b.entries[i]
-		if e.valid && e.tag == tag {
-			e.way = uint8(way)
-			e.used = b.tick
-			return
-		}
-		if !e.valid {
-			vi = i
-		} else if b.entries[vi].valid && e.used < b.entries[vi].used {
-			vi = i
-		}
+	i := b.find(tag)
+	if i < 0 {
+		i = BWBEntries - 1
 	}
-	b.entries[vi] = bwbEntry{tag: tag, way: uint8(way), valid: true, used: b.tick}
+	b.promote(i, bwbKey(tag)|uint64(uint8(way)))
 }
 
 // Invalidate drops every entry (used after an HBT resize, when remembered
 // ways may no longer be meaningful).
-func (b *BWB) Invalidate() {
-	for i := range b.entries {
-		b.entries[i].valid = false
-	}
-}
+func (b *BWB) Invalidate() { b.entries = [BWBEntries]uint64{} }

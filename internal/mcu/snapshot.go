@@ -1,8 +1,8 @@
 package mcu
 
 // BWBState is a deep copy of the bounds-way buffer. The BWB is a fixed-size
-// value struct (entry array + LRU tick + stats), so a struct copy is a full
-// deep copy.
+// value struct (recency-ordered entry words + stats), so a struct copy is a
+// full deep copy.
 type BWBState struct {
 	bwb BWB
 }
