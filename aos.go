@@ -25,6 +25,7 @@ import (
 
 	"aos/internal/core"
 	"aos/internal/cpu"
+	"aos/internal/experiments"
 	"aos/internal/heap"
 	"aos/internal/instrument"
 	"aos/internal/isa"
@@ -141,13 +142,6 @@ type Options struct {
 	// contract (internal/tracecheck documents the rules).
 	Sanitize bool
 
-	// ScalarEmit disables the batched emission path in Run: instructions
-	// are delivered to the timing core one Emit call at a time instead of
-	// in EmitBatch chunks. Results are identical either way (the golden
-	// equivalence test pins this); the scalar path exists for debugging
-	// and for that test.
-	ScalarEmit bool
-
 	// TelemetryInterval, when nonzero, attaches the flight recorder: the
 	// timing core samples every registered probe each TelemetryInterval
 	// commit cycles into Result.Timeline (telemetry.DefaultInterval is
@@ -162,34 +156,20 @@ type Options struct {
 type System struct {
 	machine  *core.Machine
 	core     *cpu.Core
-	opts     Options
 	checker  *tracecheck.Checker
 	extras   []isa.Sink
 	timeline *telemetry.Timeline
 }
 
-// NewSystem builds a machine+core pair for the given options.
+// NewSystem builds a machine+core pair for the given options. The bare
+// machine has no workload profile, so it keeps the core's default code
+// footprint.
 func NewSystem(opts Options) (*System, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	m, err := core.New(core.Config{
-		Scheme:             opts.Scheme,
-		InitialHBTAssoc:    opts.InitialHBTAssoc,
-		UncompressedBounds: opts.DisableCompression,
-	})
+	m, c, err := opts.cell(nil).Build()
 	if err != nil {
 		return nil, err
 	}
-	cfg := cpu.DefaultConfig()
-	if opts.DisableL1B {
-		cfg.Caches.L1B = nil
-	}
-	cfg.MCU.UseBWB = !opts.DisableBWB
-	cfg.MCU.Forwarding = !opts.DisableForwarding
-	c := cpu.New(cfg)
-	m.SetSink(c)
-	s := &System{machine: m, core: c, opts: opts}
+	s := &System{machine: m, core: c}
 	if opts.Sanitize {
 		s.checker = tracecheck.New(opts.Scheme)
 		s.TeeSink(s.checker)
@@ -299,7 +279,9 @@ func (s *System) SanitizeErr() error {
 // Result summarizes a finished run.
 type Result struct {
 	cpu.Result
-	// Counts is the dynamic instruction breakdown (Fig 16 classes).
+	// Counts is the dynamic instruction breakdown (Fig 16 classes). Run
+	// reports the measured region, as it does for Insts; Finalize reports
+	// everything the system executed.
 	Counts isa.Counts
 	// Heap is the allocator's trace-malloc statistics (Table II classes).
 	Heap heap.Stats
@@ -331,8 +313,27 @@ func (s *System) Finalize() Result {
 	}
 }
 
+// cell is w's simulation cell under opts (w may be nil for a bare
+// machine).
+func (opts Options) cell(w *Workload) experiments.Cell {
+	return experiments.Cell{
+		Profile:            w,
+		Scheme:             opts.Scheme,
+		Seed:               opts.Seed,
+		Instructions:       opts.Instructions,
+		DisableL1B:         opts.DisableL1B,
+		DisableCompression: opts.DisableCompression,
+		DisableBWB:         opts.DisableBWB,
+		DisableForwarding:  opts.DisableForwarding,
+		InitialHBTAssoc:    opts.InitialHBTAssoc,
+		NoWarmup:           opts.NoWarmup,
+	}
+}
+
 // Run executes one workload profile under the given options and returns
-// the timing result.
+// the timing result. It runs the same simulation cell as the experiment
+// matrix (internal/experiments.Cell), so a Run and the matrix agree on
+// every number for the same profile, scheme, budget and seed.
 func Run(w *Workload, opts Options) (Result, error) {
 	return RunContext(context.Background(), w, opts)
 }
@@ -343,28 +344,23 @@ func Run(w *Workload, opts Options) (Result, error) {
 // returns ctx's error (wrapped with the workload identity); its partial
 // statistics are discarded.
 func RunContext(ctx context.Context, w *Workload, opts Options) (Result, error) {
-	sys, err := NewSystem(opts)
+	var tl *telemetry.Timeline
+	sum, err := opts.cell(w).Run(experiments.Options{
+		Context:           ctx,
+		Sanitize:          opts.Sanitize,
+		TelemetryInterval: opts.TelemetryInterval,
+		OnTimeline:        func(_ string, _ Scheme, t *telemetry.Timeline) { tl = t },
+	})
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("aos: workload %s under %v: %w", w.Name, opts.Scheme, err)
 	}
-	if !opts.ScalarEmit {
-		sys.machine.SetBatch(core.EmitBatchSize)
-	}
-	p := w.Clone() // so an Instructions override does not mutate a shared profile
-	if opts.Instructions != 0 {
-		p.Instructions = opts.Instructions
-	}
-	warmup := p.Instructions / 2
-	onWarm := func() { sys.core.ResetStats() }
-	if opts.NoWarmup {
-		warmup, onWarm = 0, nil
-	}
-	if err := p.RunCtx(ctx, sys.machine, opts.Seed, warmup, onWarm); err != nil {
-		return Result{}, fmt.Errorf("aos: workload %s under %v: %w", p.Name, opts.Scheme, err)
-	}
-	res := sys.Finalize()
-	if err := sys.SanitizeErr(); err != nil {
-		return res, fmt.Errorf("aos: workload %s under %v: %w", p.Name, opts.Scheme, err)
-	}
-	return res, nil
+	return Result{
+		Result:     sum.CPU,
+		Counts:     sum.Counts,
+		Heap:       sum.Heap,
+		Exceptions: sum.Exceptions,
+		HBTAssoc:   sum.HBTAssoc,
+		HBTResizes: sum.Resizes,
+		Timeline:   tl,
+	}, nil
 }

@@ -1,9 +1,11 @@
 package aos_test
 
 import (
+	"context"
 	"testing"
 
 	"aos"
+	"aos/internal/experiments"
 )
 
 func TestSystemBasicLifecycle(t *testing.T) {
@@ -204,5 +206,35 @@ func TestPAAOSAddsOverheadOverAOS(t *testing.T) {
 	}
 	if pa.Cycles <= a.Cycles {
 		t.Errorf("PA+AOS (%d) not above AOS (%d) on call-heavy omnetpp", pa.Cycles, a.Cycles)
+	}
+}
+
+// TestRunMatchesMatrixCell: aos.Run and the experiment matrix run the same
+// simulation cell, so they agree on every number for the same profile,
+// scheme, budget and seed — including gcc, whose profile carries a large
+// code footprint.
+func TestRunMatchesMatrixCell(t *testing.T) {
+	for _, name := range []string{"gcc", "milc", "hmmer"} {
+		w, _ := aos.WorkloadByName(name)
+		r, err := aos.Run(w, aos.Options{Scheme: aos.AOS, Instructions: 100_000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := experiments.SimSpec{Benchmark: name, Scheme: "AOS", Instructions: 100_000, Seed: 1}
+		m, err := experiments.RunSpec(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cycles != m.Cycles || r.Insts != m.Instructions || r.Traffic.Total() != m.TrafficBytes {
+			t.Errorf("%s: aos.Run cycles/insts/traffic %d/%d/%d, matrix cell %d/%d/%d", name,
+				r.Cycles, r.Insts, r.Traffic.Total(), m.Cycles, m.Instructions, m.TrafficBytes)
+		}
+		if r.Heap.Allocs != m.HeapAllocs || r.Heap.Frees != m.HeapFrees || r.Heap.MaxLive != m.HeapMaxLive {
+			t.Errorf("%s: aos.Run heap %+v, matrix cell allocs=%d frees=%d maxLive=%d", name,
+				r.Heap, m.HeapAllocs, m.HeapFrees, m.HeapMaxLive)
+		}
+		if r.Counts.Total != r.Insts {
+			t.Errorf("%s: Counts cover %d insts, the measured region %d", name, r.Counts.Total, r.Insts)
+		}
 	}
 }

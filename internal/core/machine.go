@@ -190,7 +190,7 @@ const EmitBatchSize = 512
 // transition. Batching reorders nothing: each sink sees the exact scalar
 // instruction order, just in chunks, so timing results are unchanged.
 // Callers that read sink-side state mid-stream (e.g. resetting timing
-// statistics at a warmup boundary) must Flush first; workload.RunCtx does.
+// statistics at a warmup boundary) must Flush first; experiments.Cell does.
 func (m *Machine) SetBatch(n int) {
 	m.Flush()
 	if n <= 1 {

@@ -36,12 +36,12 @@ type ResizeResult struct {
 func ResizeStudy(o Options) (*ResizeResult, error) {
 	res := &ResizeResult{SpecResizes: make(map[string]int)}
 	profiles := workload.SPEC()
-	jobs := make([]runner.Job[runSummary], len(profiles))
+	jobs := make([]runner.Job[Summary], len(profiles))
 	for i, p := range profiles {
-		p := p
-		jobs[i] = runner.Job[runSummary]{
+		c := o.cell(p, instrument.AOS)
+		jobs[i] = runner.Job[Summary]{
 			Label: "resize: " + p.Name,
-			Run:   func() (runSummary, error) { return runJob(p, instrument.AOS, aosVariant{}, o) },
+			Run:   func() (Summary, error) { return runJob(c, o) },
 		}
 	}
 	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
@@ -54,44 +54,43 @@ func ResizeStudy(o Options) (*ResizeResult, error) {
 
 	// Stress: a process holding enough live chunks that some PAC row
 	// overflows its initial 1-way capacity.
-	stress := func(initialAssoc int) (runSummary, *core.Machine, error) {
-		m, err := core.New(core.Config{Scheme: instrument.AOS, InitialHBTAssoc: initialAssoc})
+	stress := func(initialAssoc int) (cpu.Result, *core.Machine, error) {
+		m, c, err := Cell{Scheme: instrument.AOS, InitialHBTAssoc: initialAssoc}.Build()
 		if err != nil {
-			return runSummary{}, nil, err
+			return cpu.Result{}, nil, err
 		}
-		c := cpu.New(cpu.DefaultConfig())
 		chk := o.sanitizer(instrument.AOS, m, c)
 		var ptrs []core.Ptr
 		const liveTarget = 300_000
 		for i := 0; i < liveTarget; i++ {
 			p, err := m.Malloc(32)
 			if err != nil {
-				return runSummary{}, nil, err
+				return cpu.Result{}, nil, err
 			}
 			ptrs = append(ptrs, p)
 		}
 		// Touch a sample, then release everything.
 		for i := 0; i < len(ptrs); i += 100 {
 			if err := m.Load(ptrs[i], 0, core.AccessOpts{}); err != nil {
-				return runSummary{}, nil, err
+				return cpu.Result{}, nil, err
 			}
 		}
 		for _, p := range ptrs {
 			if err := m.Free(p); err != nil {
-				return runSummary{}, nil, err
+				return cpu.Result{}, nil, err
 			}
 		}
 		if err := sanitizeErr(chk, "resize-stress", instrument.AOS); err != nil {
-			return runSummary{}, nil, err
+			return cpu.Result{}, nil, err
 		}
-		return runSummary{CPU: c.Finalize(), Resizes: len(m.OS.Resizes())}, m, nil
+		return c.Finalize(), m, nil
 	}
 	o.announce("resize: stress (1-way start)")
 	grown, gm, err := stress(1)
 	if err != nil {
 		return nil, err
 	}
-	res.ForcedResizes = grown.Resizes
+	res.ForcedResizes = len(gm.OS.Resizes())
 	res.ForcedFinalWays = gm.Table().Assoc()
 	for _, ev := range gm.OS.Resizes() {
 		res.ForcedTraffic += ev.TrafficBytes
@@ -101,7 +100,7 @@ func ResizeStudy(o Options) (*ResizeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.OverheadVsPresized = float64(grown.CPU.Cycles) / float64(pre.CPU.Cycles)
+	res.OverheadVsPresized = float64(grown.Cycles) / float64(pre.Cycles)
 	return res, nil
 }
 
@@ -131,13 +130,25 @@ type AblationResult struct {
 	InitialAssoc4 map[string]float64
 }
 
-// ablationConfigs names the per-benchmark ablation jobs in presentation
-// order. The "full" job is the normalization base.
-var ablationConfigs = []string{"full", "no-bwb", "no-forwarding", "mcq=12", "mcq=96", "assoc=4"}
+// ablations names the per-benchmark ablation cells in presentation order,
+// each an edit of the full AOS cell. The "full" cell is the normalization
+// base.
+var ablations = []struct {
+	name string
+	edit func(*Cell)
+}{
+	{"full", func(*Cell) {}},
+	{"no-bwb", func(c *Cell) { c.DisableBWB = true }},
+	{"no-forwarding", func(c *Cell) { c.DisableForwarding = true }},
+	{"mcq=12", func(c *Cell) { c.MCQSize = 12 }},
+	{"mcq=96", func(c *Cell) { c.MCQSize = 96 }},
+	{"assoc=4", func(c *Cell) { c.InitialHBTAssoc = 4 }},
+}
 
 // Ablations sweeps the design choices DESIGN.md calls out, on the three
 // benchmarks most sensitive to the MCU (gcc, hmmer, omnetpp). All
-// (benchmark, configuration) pairs run as independent pool jobs.
+// (benchmark, configuration) pairs run as independent pool jobs, each
+// under the same strategy (exact or sampled) as every other cell.
 func Ablations(o Options) (*AblationResult, error) {
 	names := []string{"gcc", "hmmer", "omnetpp"}
 	res := &AblationResult{
@@ -149,39 +160,20 @@ func Ablations(o Options) (*AblationResult, error) {
 		InitialAssoc4: map[string]float64{},
 	}
 	var specs []JobSpec
-	var jobs []runner.Job[float64]
+	var jobs []runner.Job[Summary]
 	for _, name := range names {
 		p, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %s", name)
 		}
-		for _, cfg := range ablationConfigs {
-			cfg := cfg
-			spec := JobSpec{Benchmark: name, Scheme: instrument.AOS, Variant: cfg}
+		for _, a := range ablations {
+			c := o.cell(p, instrument.AOS)
+			a.edit(&c)
+			spec := JobSpec{Benchmark: name, Scheme: instrument.AOS, Variant: a.name}
 			specs = append(specs, spec)
-			jobs = append(jobs, runner.Job[float64]{
+			jobs = append(jobs, runner.Job[Summary]{
 				Label: "ablate: " + spec.String(),
-				Run: func() (float64, error) {
-					switch cfg {
-					case "full":
-						r, err := runJob(p, instrument.AOS, aosVariant{}, o)
-						return float64(r.CPU.Cycles), err
-					case "no-bwb":
-						r, err := runJob(p, instrument.AOS, aosVariant{disableBWB: true}, o)
-						return float64(r.CPU.Cycles), err
-					case "no-forwarding":
-						r, err := runJob(p, instrument.AOS, aosVariant{disableForwarding: true}, o)
-						return float64(r.CPU.Cycles), err
-					case "mcq=12":
-						return runCustom(p, o, func(c *cpu.Config) { c.MCQSize = 12 }, 0)
-					case "mcq=96":
-						return runCustom(p, o, func(c *cpu.Config) { c.MCQSize = 96 }, 0)
-					case "assoc=4":
-						return runCustom(p, o, nil, 4)
-					default:
-						return 0, fmt.Errorf("unknown ablation config %q", cfg)
-					}
-				},
+				Run:   func() (Summary, error) { return runJob(c, o) },
 			})
 		}
 	}
@@ -191,7 +183,7 @@ func Ablations(o Options) (*AblationResult, error) {
 	}
 	cycles := make(map[JobSpec]float64, len(results))
 	for i, r := range results {
-		cycles[specs[i]] = r.Value
+		cycles[specs[i]] = float64(r.Value.CPU.Cycles)
 	}
 	for _, name := range names {
 		base := cycles[JobSpec{Benchmark: name, Scheme: instrument.AOS, Variant: "full"}]
@@ -208,39 +200,6 @@ func Ablations(o Options) (*AblationResult, error) {
 		res.InitialAssoc4[name] = at("assoc=4")
 	}
 	return res, nil
-}
-
-// runCustom runs AOS with a CPU-config mutation and/or initial HBT
-// associativity override, returning cycles.
-func runCustom(p *workload.Profile, o Options, mutate func(*cpu.Config), initialAssoc int) (float64, error) {
-	m, err := core.New(core.Config{
-		Scheme:          instrument.AOS,
-		InitialHBTAssoc: initialAssoc,
-		CodeFootprint:   p.CodeFootprint,
-	})
-	if err != nil {
-		return 0, err
-	}
-	cfg := cpu.DefaultConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c := cpu.New(cfg)
-	chk := o.sanitizer(instrument.AOS, m, c)
-	if !o.ScalarEmit {
-		m.SetBatch(core.EmitBatchSize)
-	}
-	prof := p.Clone()
-	if o.Instructions != 0 {
-		prof.Instructions = o.Instructions
-	}
-	if err := prof.RunWarm(m, o.seed(), prof.Instructions/2, c.ResetStats); err != nil {
-		return 0, err
-	}
-	if err := sanitizeErr(chk, p.Name, instrument.AOS); err != nil {
-		return 0, err
-	}
-	return float64(c.Finalize().Cycles), nil
 }
 
 // String renders the ablations.

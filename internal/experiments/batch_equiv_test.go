@@ -2,10 +2,35 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"aos/internal/core"
 	"aos/internal/instrument"
 )
+
+// refOptions is the plain reference matrix's configuration: a tiny budget,
+// and more than one worker so the -j 1 comparison against it still
+// exercises the worker-count contract.
+func refOptions() Options { return Options{Instructions: 8_000, Seed: 1, Workers: 4} }
+
+var (
+	refOnce sync.Once
+	ref     *Matrix
+	refErr  error
+)
+
+// refMatrix is the plain reference matrix, computed once per test binary
+// and shared by the batching, telemetry and worker-count equivalence
+// tests. Callers must not mutate it.
+func refMatrix(t *testing.T) *Matrix {
+	t.Helper()
+	refOnce.Do(func() { ref, refErr = RunMatrix(refOptions()) })
+	if refErr != nil {
+		t.Fatal(refErr)
+	}
+	return ref
+}
 
 // TestMatrixBatchScalarEquivalence is the batching determinism contract:
 // the buffered emission path (machine-side EmitBatch) must produce a Matrix
@@ -15,14 +40,10 @@ func TestMatrixBatchScalarEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two matrix runs")
 	}
-	o := Options{Instructions: 8_000, Seed: 1, Workers: 4}
-	o.ScalarEmit = true
-	scalar, err := RunMatrix(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.ScalarEmit = false
-	batched, err := RunMatrix(o)
+	batched := refMatrix(t)
+	emitBatch = 1
+	defer func() { emitBatch = core.EmitBatchSize }()
+	scalar, err := RunMatrix(refOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

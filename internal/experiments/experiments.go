@@ -6,9 +6,10 @@
 // Matrix-style experiments (the 16-benchmark x 5-scheme evaluation behind
 // Fig 14/16/17/18, the Fig 15 ablation, the resize study and the memory
 // profiles) fan out over internal/runner's bounded worker pool. Every job
-// builds its own core.Machine + cpu.Core and seeds its own RNG, so runs
-// share no mutable state and Options.Workers only changes wall-clock time:
-// 1-worker and N-worker runs produce byte-identical tables.
+// runs its own Cell, which builds its own core.Machine + cpu.Core and seeds
+// its own RNG, so runs share no mutable state and Options.Workers only
+// changes wall-clock time: 1-worker and N-worker runs produce
+// byte-identical tables.
 package experiments
 
 import (
@@ -18,12 +19,9 @@ import (
 	"strings"
 	"time"
 
-	"aos/internal/core"
-	"aos/internal/cpu"
 	"aos/internal/heap"
 	"aos/internal/hwmodel"
 	"aos/internal/instrument"
-	"aos/internal/isa"
 	"aos/internal/kernel"
 	"aos/internal/mem"
 	"aos/internal/pa"
@@ -32,7 +30,6 @@ import (
 	"aos/internal/sampling"
 	"aos/internal/stats"
 	"aos/internal/telemetry"
-	"aos/internal/tracecheck"
 	"aos/internal/workload"
 )
 
@@ -58,11 +55,6 @@ type Options struct {
 	// Sanitize tees every job's instruction stream through the tracecheck
 	// protocol verifier and fails the job on any violation.
 	Sanitize bool
-	// ScalarEmit disables batched emission in every job (per-instruction
-	// Sink.Emit instead of EmitBatch chunks). Outputs are byte-identical
-	// either way — TestMatrixBatchScalarEquivalence pins that — so the
-	// switch exists for that test and for debugging.
-	ScalarEmit bool
 	// Context, when non-nil, cancels in-flight experiments: pool workers
 	// observe it between jobs, and each job's emission loop polls it
 	// mid-run, so a timeout or client abandon stops the whole matrix
@@ -124,112 +116,13 @@ func (o Options) runnerOptions() runner.Options {
 	return runner.Options{Workers: o.Workers, OnEvent: o.Progress}
 }
 
-// sanitizer wires the machine's sink: straight to the timing core, or teed
-// through a fresh protocol checker when Options.Sanitize is set.
-func (o Options) sanitizer(scheme instrument.Scheme, m *core.Machine, c *cpu.Core) *tracecheck.Checker {
-	if !o.Sanitize {
-		m.SetSink(c)
-		return nil
-	}
-	chk := tracecheck.New(scheme)
-	chk.SetJob(o.JobID)
-	m.SetSink(isa.MultiSink{c, chk})
-	return chk
+// cell is p's default-configuration cell under s at o's budget and seed.
+func (o Options) cell(p *workload.Profile, s instrument.Scheme) Cell {
+	return Cell{Profile: p, Scheme: s, Seed: o.Seed, Instructions: o.Instructions}
 }
 
-// sanitizeErr finishes a checker (nil is fine) and decorates its verdict
-// with the job identity.
-func sanitizeErr(chk *tracecheck.Checker, benchmark string, scheme instrument.Scheme) error {
-	if chk == nil {
-		return nil
-	}
-	chk.Finish()
-	if err := chk.Err(); err != nil {
-		return fmt.Errorf("%s under %v: %w", benchmark, scheme, err)
-	}
-	return nil
-}
-
-// runOne executes a profile under a scheme with optional AOS feature
-// toggles, returning the run summary.
-type runSummary struct {
-	Scheme  instrument.Scheme
-	CPU     cpu.Result
-	Counts  isa.Counts
-	Heap    heap.Stats
-	Resizes int
-	Excs    int
-}
-
-type aosVariant struct {
-	disableL1B         bool
-	disableCompression bool
-	disableBWB         bool
-	disableForwarding  bool
-}
-
-func runOne(p *workload.Profile, scheme instrument.Scheme, v aosVariant, o Options) (runSummary, error) {
-	if o.Sampling != nil {
-		return runOneSampled(p, scheme, v, o)
-	}
-	m, err := core.New(core.Config{
-		Scheme:             scheme,
-		UncompressedBounds: v.disableCompression,
-		CodeFootprint:      p.CodeFootprint,
-	})
-	if err != nil {
-		return runSummary{}, err
-	}
-	cfg := cpu.DefaultConfig()
-	if v.disableL1B {
-		cfg.Caches.L1B = nil
-	}
-	cfg.MCU.UseBWB = !v.disableBWB
-	cfg.MCU.Forwarding = !v.disableForwarding
-	c := cpu.New(cfg)
-	chk := o.sanitizer(scheme, m, c)
-	if !o.ScalarEmit {
-		m.SetBatch(core.EmitBatchSize)
-	}
-	var tl *telemetry.Timeline
-	if o.TelemetryInterval != 0 {
-		tl = telemetry.NewTimeline(telemetry.NewRegistry(), o.TelemetryInterval)
-		c.AttachTelemetry(tl)
-		m.AttachTelemetry(tl)
-	}
-
-	prof := p.Clone() // independent copy: jobs may share *p across workers
-	if o.Instructions != 0 {
-		prof.Instructions = o.Instructions
-	}
-	// Warm the caches, predictor and BWB over half a budget, then measure.
-	var warmCounts isa.Counts
-	warmup := prof.Instructions / 2
-	if err := prof.RunCtx(o.ctx(), m, o.seed(), warmup, func() {
-		c.ResetStats()
-		warmCounts = m.Counts()
-	}); err != nil {
-		return runSummary{}, err
-	}
-	if err := sanitizeErr(chk, p.Name, scheme); err != nil {
-		return runSummary{}, err
-	}
-	counts := subtractWarm(m.Counts(), warmCounts)
-	if tl != nil && o.OnTimeline != nil {
-		o.OnTimeline(p.Name, scheme, tl)
-	}
-	return runSummary{
-		Scheme:  scheme,
-		CPU:     c.Finalize(),
-		Counts:  counts,
-		Heap:    m.Heap.Stats(),
-		Resizes: len(m.OS.Resizes()),
-		Excs:    len(m.Exceptions()),
-	}, nil
-}
-
-// runJob is the matrix job body, indirected so tests can inject failures.
-var runJob = runOne
+// runJob is the pool job body, indirected so tests can inject failures.
+var runJob = Cell.Run
 
 // JobSpec identifies one run in an evaluation matrix: a benchmark under a
 // scheme, optionally in a named configuration variant.
@@ -259,7 +152,7 @@ type JobError struct {
 // so a single failed job never discards the other jobs' results.
 type Matrix struct {
 	Benchmarks []string
-	Runs       map[string]map[instrument.Scheme]runSummary
+	Runs       map[string]map[instrument.Scheme]Summary
 	// Walls records each job's wall-clock time (machine-readable output).
 	Walls map[string]map[instrument.Scheme]time.Duration
 	// Errors lists failed jobs in job order.
@@ -276,10 +169,10 @@ func (m *Matrix) Err() error {
 }
 
 // Run looks up one benchmark/scheme summary.
-func (m *Matrix) run(name string, s instrument.Scheme) (runSummary, error) {
+func (m *Matrix) run(name string, s instrument.Scheme) (Summary, error) {
 	r, ok := m.Runs[name][s]
 	if !ok {
-		return runSummary{}, fmt.Errorf("matrix: missing %s run", JobSpec{Benchmark: name, Scheme: s})
+		return Summary{}, fmt.Errorf("matrix: missing %s run", JobSpec{Benchmark: name, Scheme: s})
 	}
 	return r, nil
 }
@@ -302,28 +195,27 @@ func MatrixBenchmarks() []string {
 func RunMatrix(o Options) (*Matrix, error) {
 	profiles := workload.SPEC()
 	var specs []JobSpec
-	var jobs []runner.Job[runSummary]
+	var jobs []runner.Job[Summary]
 	for _, p := range profiles {
-		p := p
 		for _, s := range instrument.Schemes() {
-			s := s
+			c := o.cell(p, s)
 			spec := JobSpec{Benchmark: p.Name, Scheme: s}
 			specs = append(specs, spec)
-			jobs = append(jobs, runner.Job[runSummary]{
+			jobs = append(jobs, runner.Job[Summary]{
 				Label: "fig14: " + spec.String(),
-				Run:   func() (runSummary, error) { return runJob(p, s, aosVariant{}, o) },
+				Run:   func() (Summary, error) { return runJob(c, o) },
 			})
 		}
 	}
 	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
 
 	m := &Matrix{
-		Runs:  make(map[string]map[instrument.Scheme]runSummary),
+		Runs:  make(map[string]map[instrument.Scheme]Summary),
 		Walls: make(map[string]map[instrument.Scheme]time.Duration),
 	}
 	for _, p := range profiles {
 		m.Benchmarks = append(m.Benchmarks, p.Name)
-		m.Runs[p.Name] = make(map[instrument.Scheme]runSummary)
+		m.Runs[p.Name] = make(map[instrument.Scheme]Summary)
 		m.Walls[p.Name] = make(map[instrument.Scheme]time.Duration)
 	}
 	for i, r := range results {
@@ -444,28 +336,24 @@ var fig15Order = []Fig15Variant{V15None, V15L1B, V15Comp, V15Both}
 // Fig15 runs AOS under the four optimization configurations, fanned out
 // over the worker pool (one baseline + four variant jobs per benchmark).
 func Fig15(o Options) (*Fig15Result, error) {
-	variants := map[Fig15Variant]aosVariant{
-		V15None: {disableL1B: true, disableCompression: true},
-		V15L1B:  {disableCompression: true},
-		V15Comp: {disableL1B: true},
-		V15Both: {},
-	}
 	profiles := workload.SPEC()
 	var specs []JobSpec
-	var jobs []runner.Job[runSummary]
-	addJob := func(p *workload.Profile, s instrument.Scheme, variant string, av aosVariant) {
-		spec := JobSpec{Benchmark: p.Name, Scheme: s, Variant: variant}
+	var jobs []runner.Job[Summary]
+	addJob := func(c Cell, variant string) {
+		spec := JobSpec{Benchmark: c.Profile.Name, Scheme: c.Scheme, Variant: variant}
 		specs = append(specs, spec)
-		jobs = append(jobs, runner.Job[runSummary]{
+		jobs = append(jobs, runner.Job[Summary]{
 			Label: "fig15: " + spec.String(),
-			Run:   func() (runSummary, error) { return runJob(p, s, av, o) },
+			Run:   func() (Summary, error) { return runJob(c, o) },
 		})
 	}
 	for _, p := range profiles {
-		p := p
-		addJob(p, instrument.Baseline, "", aosVariant{})
+		addJob(o.cell(p, instrument.Baseline), "")
 		for _, v := range fig15Order {
-			addJob(p, instrument.AOS, string(v), variants[v])
+			c := o.cell(p, instrument.AOS)
+			c.DisableL1B = v == V15None || v == V15Comp
+			c.DisableCompression = v == V15None || v == V15L1B
+			addJob(c, string(v))
 		}
 	}
 	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
@@ -477,11 +365,11 @@ func Fig15(o Options) (*Fig15Result, error) {
 		Normalized: make(map[Fig15Variant]map[string]float64),
 		Geomean:    make(map[Fig15Variant]float64),
 	}
-	for v := range variants {
+	for _, v := range fig15Order {
 		res.Normalized[v] = make(map[string]float64)
 	}
 	series := make(map[Fig15Variant][]float64)
-	bySpec := make(map[JobSpec]runSummary, len(results))
+	bySpec := make(map[JobSpec]Summary, len(results))
 	for i, r := range results {
 		bySpec[specs[i]] = r.Value
 	}

@@ -139,14 +139,10 @@ func TestMatrixParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two matrix runs")
 	}
-	o := Options{Instructions: 8_000, Seed: 1}
+	par := refMatrix(t)
+	o := refOptions()
 	o.Workers = 1
 	seq, err := RunMatrix(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Workers = 8
-	par, err := RunMatrix(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +153,11 @@ func TestMatrixParallelEquivalence(t *testing.T) {
 		for _, b := range seq.Benchmarks {
 			for _, s := range instrument.Schemes() {
 				if !reflect.DeepEqual(seq.Runs[b][s], par.Runs[b][s]) {
-					t.Errorf("%s/%v diverges:\n  -j1: %+v\n  -j8: %+v", b, s, seq.Runs[b][s], par.Runs[b][s])
+					t.Errorf("%s/%v diverges:\n  -j1: %+v\n  -j4: %+v", b, s, seq.Runs[b][s], par.Runs[b][s])
 				}
 			}
 		}
-		t.Fatal("matrix contents differ between -j 1 and -j 8")
+		t.Fatal("matrix contents differ between -j 1 and -j 4")
 	}
 	f14seq, err := Fig14(seq)
 	if err != nil {
@@ -172,12 +168,12 @@ func TestMatrixParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f14seq.String() != f14par.String() {
-		t.Error("rendered Fig 14 differs between -j 1 and -j 8")
+		t.Error("rendered Fig 14 differs between -j 1 and -j 4")
 	}
 	f18seq, _ := Fig18(seq)
 	f18par, _ := Fig18(par)
 	if f18seq.CSV() != f18par.CSV() {
-		t.Error("Fig 18 CSV differs between -j 1 and -j 8")
+		t.Error("Fig 18 CSV differs between -j 1 and -j 4")
 	}
 }
 
@@ -186,11 +182,11 @@ func TestMatrixParallelEquivalence(t *testing.T) {
 func TestMatrixFailureInjection(t *testing.T) {
 	boom := errors.New("injected failure")
 	orig := runJob
-	runJob = func(p *workload.Profile, s instrument.Scheme, v aosVariant, o Options) (runSummary, error) {
-		if p.Name == "gcc" && s == instrument.AOS {
-			return runSummary{}, boom
+	runJob = func(c Cell, o Options) (Summary, error) {
+		if c.Profile.Name == "gcc" && c.Scheme == instrument.AOS {
+			return Summary{}, boom
 		}
-		return orig(p, s, v, o)
+		return orig(c, o)
 	}
 	defer func() { runJob = orig }()
 
@@ -233,7 +229,7 @@ func TestMatrixFailureInjection(t *testing.T) {
 func TestFigGuards(t *testing.T) {
 	m := &Matrix{
 		Benchmarks: []string{"fake"},
-		Runs:       map[string]map[instrument.Scheme]runSummary{"fake": {}},
+		Runs:       map[string]map[instrument.Scheme]Summary{"fake": {}},
 	}
 	if _, err := Fig14(m); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("Fig14 missing-baseline guard: %v", err)
@@ -242,7 +238,7 @@ func TestFigGuards(t *testing.T) {
 		t.Errorf("Fig18 missing-baseline guard: %v", err)
 	}
 	for _, s := range instrument.Schemes() {
-		m.Runs["fake"][s] = runSummary{} // present but zero cycles/traffic
+		m.Runs["fake"][s] = Summary{} // present but zero cycles/traffic
 	}
 	if _, err := Fig14(m); err == nil || !strings.Contains(err.Error(), "zero cycles") {
 		t.Errorf("Fig14 zero-cycle guard: %v", err)

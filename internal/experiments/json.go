@@ -366,8 +366,6 @@ func RunSpecFull(ctx context.Context, spec SimSpec, cfg RunConfig) (*SimResult, 
 	}
 	var tl *telemetry.Timeline
 	o := Options{
-		Instructions:      spec.Instructions,
-		Seed:              spec.Seed,
 		Sanitize:          spec.Sanitize,
 		Context:           ctx,
 		JobID:             cfg.JobID,
@@ -385,7 +383,7 @@ func RunSpecFull(ctx context.Context, spec SimSpec, cfg RunConfig) (*SimResult, 
 		}
 		o.Checkpoints = cfg.Checkpoints
 	}
-	sum, err := runOne(p, scheme, aosVariant{}, o)
+	sum, err := Cell{Profile: p, Scheme: scheme, Seed: spec.Seed, Instructions: spec.Instructions}.Run(o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spec %s/%s: %w", spec.Benchmark, spec.Scheme, err)
 	}
@@ -399,6 +397,6 @@ func RunSpecFull(ctx context.Context, spec SimSpec, cfg RunConfig) (*SimResult, 
 		HeapFrees:    sum.Heap.Frees,
 		HeapMaxLive:  sum.Heap.MaxLive,
 		HBTResizes:   sum.Resizes,
-		Exceptions:   sum.Excs,
+		Exceptions:   len(sum.Exceptions),
 	}, tl, nil
 }

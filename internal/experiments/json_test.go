@@ -128,12 +128,12 @@ func TestMatrixErrOrderDeterministic(t *testing.T) {
 		"soplex/PA+AOS": true,
 	}
 	orig := runJob
-	runJob = func(p *workload.Profile, s instrument.Scheme, v aosVariant, o Options) (runSummary, error) {
-		key := p.Name + "/" + s.String()
+	runJob = func(c Cell, o Options) (Summary, error) {
+		key := c.Profile.Name + "/" + c.Scheme.String()
 		if fail[key] {
-			return runSummary{}, fmt.Errorf("injected: %s", key)
+			return Summary{}, fmt.Errorf("injected: %s", key)
 		}
-		return runSummary{}, nil // skip real simulation; ordering is what's under test
+		return Summary{}, nil // skip real simulation; ordering is what's under test
 	}
 	defer func() { runJob = orig }()
 

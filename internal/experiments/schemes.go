@@ -25,24 +25,23 @@ type SchemeOverheadResult struct {
 func SchemeOverhead(o Options) (*SchemeOverheadResult, error) {
 	profiles := workload.SPEC()
 	var specs []JobSpec
-	var jobs []runner.Job[runSummary]
+	var jobs []runner.Job[Summary]
 	for _, p := range profiles {
-		p := p
 		for _, s := range instrument.AllSchemes() {
-			s := s
+			c := o.cell(p, s)
 			spec := JobSpec{Benchmark: p.Name, Scheme: s}
 			specs = append(specs, spec)
-			jobs = append(jobs, runner.Job[runSummary]{
+			jobs = append(jobs, runner.Job[Summary]{
 				Label: "schemes: " + spec.String(),
-				Run:   func() (runSummary, error) { return runJob(p, s, aosVariant{}, o) },
+				Run:   func() (Summary, error) { return runJob(c, o) },
 			})
 		}
 	}
 	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
 
-	runs := make(map[string]map[instrument.Scheme]runSummary)
+	runs := make(map[string]map[instrument.Scheme]Summary)
 	for _, p := range profiles {
-		runs[p.Name] = make(map[instrument.Scheme]runSummary)
+		runs[p.Name] = make(map[instrument.Scheme]Summary)
 	}
 	for i, r := range results {
 		if r.Err != nil {

@@ -19,12 +19,8 @@ func TestMatrixTelemetryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two matrix runs")
 	}
-	o := Options{Instructions: 8_000, Seed: 1, Workers: 4}
-	plain, err := RunMatrix(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	plain := refMatrix(t)
+	o := refOptions()
 	var mu sync.Mutex
 	timelines := make(map[string]*telemetry.Timeline)
 	o.TelemetryInterval = 512

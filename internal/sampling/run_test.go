@@ -123,35 +123,3 @@ func TestSampledSegments(t *testing.T) {
 		t.Fatal("run must start and end in fast-forward")
 	}
 }
-
-// TestSampledEstimateTracksExact: on a steady-state workload the sampled
-// estimate must land near the full-detail cycle count (the tight 2% matrix
-// bound lives in the experiments error-bound test; this is the unit-level
-// sanity version).
-func TestSampledEstimateTracksExact(t *testing.T) {
-	p, m, c := sampledCell(t, instrument.AOS)
-	sched, err := testSchedule().Normalize(p.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), p, m, c, 7, Config{Schedule: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Full-detail reference: same cell, warmup then measure.
-	p2, m2, c2 := sampledCell(t, instrument.AOS)
-	if err := p2.RunWarm(m2, 7, sched.Warmup, c2.ResetStats); err != nil {
-		t.Fatal(err)
-	}
-	m2.Flush()
-	exact := c2.Finalize()
-
-	ratio := float64(res.Est.Cycles) / float64(exact.Cycles)
-	if ratio < 0.90 || ratio > 1.10 {
-		t.Fatalf("sampled cycles %d vs exact %d (ratio %.3f) outside 10%%", res.Est.Cycles, exact.Cycles, ratio)
-	}
-	if res.Est.TotalInsts != exact.Insts {
-		t.Fatalf("sampled total insts %d != exact consumed insts %d", res.Est.TotalInsts, exact.Insts)
-	}
-}

@@ -13,9 +13,9 @@ type ProgressFunc func(done, total uint64)
 // progressKey is the context key for the run-progress callback.
 type progressKey struct{}
 
-// WithProgress returns a context that makes Profile.RunCtx report
-// its instruction progress to fn. The service's SSE job streams are
-// fed this way; passing progress through the context keeps RunCtx's
+// WithProgress returns a context that makes Runner.RunTo report its
+// instruction progress to fn. The service's SSE job streams are fed
+// this way; passing progress through the context keeps RunTo's
 // signature — and every existing call site — unchanged.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)

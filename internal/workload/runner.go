@@ -10,11 +10,11 @@ import (
 )
 
 // Runner is the resumable form of a profile run: the synthetic program's
-// loop state factored out of RunCtx so a SMARTS-style sampling driver can
-// stop at segment boundaries, checkpoint (State), fast-forward, and resume
-// (NewRunnerFromState) without replaying the prefix. RunCtx is a thin
-// wrapper over a Runner and produces a bit-identical instruction stream to
-// the pre-Runner implementation.
+// loop state, so a driver can stop at any instruction boundary — a warmup
+// split, a SMARTS segment — checkpoint (State), fast-forward, and resume
+// (NewRunnerFromState) without replaying the prefix. Stopping and resuming
+// never changes the instruction stream: a run sliced into any number of
+// RunTo calls emits exactly the stream of one call.
 type Runner struct {
 	p *Profile
 	m *core.Machine
@@ -48,8 +48,8 @@ type Runner struct {
 }
 
 // NewRunner validates the profile and performs the program's setup phase on
-// m — steady-state heap construction, prefaulting, branch-bias derivation —
-// exactly as RunCtx's preamble always has (the setup emits instructions).
+// m — steady-state heap construction, prefaulting, branch-bias derivation
+// (the setup emits instructions).
 // The returned runner is positioned at produced=0, ready for RunTo.
 func NewRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
 	if err := p.Validate(); err != nil {
@@ -150,8 +150,8 @@ func (r *Runner) allocChunk() error {
 	return nil
 }
 
-// Produced reports program instructions produced so far (intent count, the
-// same quantity RunCtx's loop counts).
+// Produced reports program instructions produced so far (an intent count:
+// instrumentation a scheme adds is not counted).
 func (r *Runner) Produced() uint64 { return r.produced }
 
 // pickChunk selects the next burst's target chunk.
@@ -183,12 +183,13 @@ func (r *Runner) nextHeapTarget() (core.Ptr, uint64) {
 	return r.cur, off
 }
 
-// RunTo produces program instructions until produced >= until, preserving
-// RunCtx's loop byte-for-byte: the same RNG draw order, the same
-// cancellation-check cadence (persisting across calls), the same event mix.
-// total is the overall run target, used for progress reporting and error
-// messages; the closing progress callback fires only on the call that
-// reaches it.
+// RunTo produces program instructions until produced >= until, polling
+// ctx every ctxCheckEvery instructions (the cadence persists across calls)
+// and returning its error, wrapped with the profile and progress, once it
+// is done. A run aborted this way leaves the machine consistent but
+// unfinished; callers must discard, not report, its statistics. total is
+// the overall run target, used for progress reporting and error messages;
+// the closing progress callback fires only on the call that reaches it.
 func (r *Runner) RunTo(ctx context.Context, until, total uint64) error {
 	p, m := r.p, r.m
 	progress := progressFrom(ctx)

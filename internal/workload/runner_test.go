@@ -27,17 +27,17 @@ func newRecordedMachine(t *testing.T, scheme instrument.Scheme) (*core.Machine, 
 	return m, rec
 }
 
-// TestRunnerPiecewiseMatchesRunCtx: driving a Runner in several RunTo slices
-// must produce the byte-identical instruction stream of a one-shot RunCtx —
-// the property every checkpoint boundary relies on.
-func TestRunnerPiecewiseMatchesRunCtx(t *testing.T) {
+// TestRunnerPiecewiseMatchesRun: driving a Runner in several RunTo slices
+// must produce the byte-identical instruction stream of a one-shot Run —
+// the property every warmup split and checkpoint boundary relies on.
+func TestRunnerPiecewiseMatchesRun(t *testing.T) {
 	p, _ := ByName("mcf")
 	p = p.Clone()
 	p.Instructions = 60_000
 	total := p.Instructions
 
 	mA, recA := newRecordedMachine(t, instrument.AOS)
-	if err := p.RunCtx(context.Background(), mA, 7, 0, nil); err != nil {
+	if err := p.Run(mA, 7); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestRunnerPiecewiseMatchesRunCtx(t *testing.T) {
 		t.Fatal("one-shot run produced no instructions")
 	}
 	if !reflect.DeepEqual(recA.insts, recC.insts) {
-		t.Fatalf("sliced RunTo diverged from one-shot RunCtx: %d vs %d insts", len(recC.insts), len(recA.insts))
+		t.Fatalf("sliced RunTo diverged from one-shot Run: %d vs %d insts", len(recC.insts), len(recA.insts))
 	}
 	if rc.Produced() < total {
 		t.Fatalf("sliced runner stopped at %d, want >= %d", rc.Produced(), total)

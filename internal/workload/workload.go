@@ -107,67 +107,33 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// Run executes the profile's scaled synthetic program on m, emitting about
-// p.Instructions program instructions (instrumentation excluded). The
-// stream is deterministic for a given seed.
-func (p *Profile) Run(m *core.Machine, seed int64) error {
-	return p.RunWarm(m, seed, 0, nil)
-}
-
-// RunWarm is Run with warmup-then-measure support: after the heap is built
-// and warmupInsts program instructions have executed, onWarm is invoked
-// (typically to reset the timing core's statistics) and the run continues
-// for the profile's full instruction budget. This mirrors the paper's
-// methodology of measuring a window of a much longer execution, removing
-// compulsory-miss noise from short scaled runs.
+// Run executes the profile's scaled synthetic program on m from setup to
+// the end of its budget, emitting about p.Instructions program
+// instructions (instrumentation excluded) with no warmup split. The stream
+// is deterministic for a given seed. Run is the whole-stream helper for
+// tests and trace recording; simulation cells (internal/experiments.Cell)
+// drive a Runner themselves to split warmup from measurement.
 //
-// RunWarm never mutates the profile, so many goroutines may run the same
+// Run never mutates the profile, so many goroutines may run the same
 // *Profile concurrently (each run's state — RNG, chunk list, branch
-// biases — is local to the call).
-func (p *Profile) RunWarm(m *core.Machine, seed int64, warmupInsts uint64, onWarm func()) error {
-	return p.RunCtx(context.Background(), m, seed, warmupInsts, onWarm)
-}
-
-// ctxCheckEvery is how many program instructions may elapse between
-// cancellation checks in RunCtx: frequent enough that a timed-out or
-// client-abandoned job stops within microseconds of real time, rare
-// enough to stay invisible in the emission hot loop.
-const ctxCheckEvery = 8192
-
-// RunCtx is RunWarm with cooperative cancellation: the emission loop polls
-// ctx every ctxCheckEvery program instructions and returns ctx's error
-// (wrapped with the profile identity and progress) once it is done. A run
-// aborted this way leaves the machine in a consistent but unfinished
-// state; callers must discard, not report, its statistics.
-func (p *Profile) RunCtx(ctx context.Context, m *core.Machine, seed int64, warmupInsts uint64, onWarm func()) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("workload %s: canceled before start: %w", p.Name, err)
-	}
-	// With batched emission the sink must not be left holding back buffered
-	// instructions on any exit path (the caller finalizes the timing core
-	// or a protocol checker right after we return).
+// biases — is local to its Runner).
+func (p *Profile) Run(m *core.Machine, seed int64) error {
+	// With batched emission the sink must not be left holding back
+	// buffered instructions on any exit path (the caller finalizes the
+	// timing core or a protocol checker right after we return).
 	defer m.Flush()
 	r, err := NewRunner(p, m, seed)
 	if err != nil {
 		return err
 	}
-	target := p.Instructions + warmupInsts
-	if onWarm == nil {
-		return r.RunTo(ctx, target, target)
-	}
-	if err := r.RunTo(ctx, warmupInsts, target); err != nil {
-		return err
-	}
-	// The warmup boundary is observed sink-side (timing-core stats
-	// reset): the core must have consumed every pre-boundary instruction
-	// before the callback runs, exactly as in scalar emission.
-	m.Flush()
-	onWarm()
-	return r.RunTo(ctx, target, target)
+	return r.RunTo(context.Background(), p.Instructions, p.Instructions)
 }
+
+// ctxCheckEvery is how many program instructions may elapse between
+// cancellation checks in Runner.RunTo: frequent enough that a timed-out
+// or client-abandoned job stops within microseconds of real time, rare
+// enough to stay invisible in the emission hot loop.
+const ctxCheckEvery = 8192
 
 // stillLive reports whether c is still in the live set (cheap check: the
 // burst target is invalidated on free, so this only guards warm-up edges).

@@ -123,26 +123,6 @@ func TestRunNoViolationsOnBenignWorkloads(t *testing.T) {
 	}
 }
 
-func TestRunWarmCallbackFires(t *testing.T) {
-	p, _ := ByName("sjeng")
-	prof := *p
-	prof.Instructions = 10_000
-	m, err := core.New(core.Config{Scheme: instrument.Baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var atWarm uint64
-	if err := prof.RunWarm(m, 1, 5_000, func() { atWarm = m.Counts().Total }); err != nil {
-		t.Fatal(err)
-	}
-	if atWarm == 0 {
-		t.Fatal("warmup callback never fired")
-	}
-	if final := m.Counts().Total; final <= atWarm {
-		t.Errorf("no instructions after warmup: warm=%d final=%d", atWarm, final)
-	}
-}
-
 func TestAllocScheduleMatchesConsistentRows(t *testing.T) {
 	// Rows whose paper numbers are internally consistent must be
 	// reproduced exactly at full scale.
