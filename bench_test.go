@@ -10,6 +10,7 @@ package aos_test
 // cmd/aosbench (see EXPERIMENTS.md).
 
 import (
+	"slices"
 	"testing"
 
 	"aos"
@@ -99,8 +100,8 @@ func BenchmarkFig15Optimizations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Geomean[experiments.V15None], "no-opt-geomean")
-		b.ReportMetric(r.Geomean[experiments.V15Both], "both-opts-geomean")
+		b.ReportMetric(r.Geomean[slices.Index(r.Columns, "NoOptimization")], "no-opt-geomean")
+		b.ReportMetric(r.Geomean[slices.Index(r.Columns, "L1-B+BoundsCompression")], "both-opts-geomean")
 	}
 }
 
@@ -188,8 +189,9 @@ func BenchmarkAblations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.NoBWB["gcc"], "gcc-no-bwb")
-		b.ReportMetric(r.MCQ12["hmmer"], "hmmer-mcq12")
+		// Rows are gcc, hmmer and omnetpp, in that order.
+		b.ReportMetric(r.Rows[0].Values[slices.Index(r.Columns, "no BWB")], "gcc-no-bwb")
+		b.ReportMetric(r.Rows[1].Values[slices.Index(r.Columns, "MCQ=12")], "hmmer-mcq12")
 	}
 }
 

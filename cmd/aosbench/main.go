@@ -26,6 +26,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,6 +70,13 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
+	if err := checkFlags(cliFlags{
+		exp: *exp, mallocs: *mallocs, csv: *csv, json: *jsonOut,
+		timeline: *timelinePath, timelineInterval: *timelineInterval,
+		sample: *sample, sampleWindows: *sampleWindows, sampleGap: *sampleGap,
+	}); err != nil {
+		fatal(err)
+	}
 
 	stopProf, err := startProfiling(*cpuprofile, *memprofile, *traceFile)
 	if err != nil {
@@ -122,17 +130,12 @@ func main() {
 		}
 	}
 
-	needMatrix := map[string]bool{"fig14": true, "fig16": true, "fig17": true, "fig18": true, "all": true}
-
 	// -timeline records one matrix cell's telemetry during the matrix
 	// run. Sampling is passive, so every other cell's numbers — and the
 	// rendered figures — are unchanged by the flag.
 	var tlMu sync.Mutex
 	var cellTimeline *telemetry.Timeline
 	if *timelinePath != "" {
-		if !needMatrix[*exp] {
-			fatal(fmt.Errorf("-timeline requires a matrix-backed experiment (fig14, fig16, fig17, fig18, all)"))
-		}
 		bench, schemeStr, ok := strings.Cut(*timelineCell, "/")
 		if !ok {
 			fatal(fmt.Errorf("-timeline-cell must be benchmark/scheme, got %q", *timelineCell))
@@ -156,7 +159,7 @@ func main() {
 
 	var matrix *experiments.Matrix
 	var matrixWall time.Duration
-	if needMatrix[*exp] {
+	if matrixExps[*exp] {
 		start := time.Now() //aoslint:allow detrand — wall duration is reported as metadata, never in results
 		var err error
 		matrix, err = experiments.RunMatrix(o)
@@ -187,9 +190,6 @@ func main() {
 	}
 
 	if *jsonOut && *exp != "attacks" {
-		if matrix == nil {
-			fatal(fmt.Errorf("-json requires a matrix-backed experiment (fig14, fig16, fig17, fig18, all) or -exp attacks"))
-		}
 		doc, err := experiments.MatrixDocument(matrix, o, matrixWall)
 		if err != nil {
 			fatal(err)
@@ -323,6 +323,41 @@ func main() {
 		return
 	}
 	runExp(*exp)
+}
+
+// matrixExps are the experiments rendered from the evaluation matrix.
+var matrixExps = map[string]bool{"fig14": true, "fig16": true, "fig17": true, "fig18": true, "all": true}
+
+// cliFlags holds the flags checkFlags validates.
+type cliFlags struct {
+	exp              string
+	mallocs          int
+	csv, json        bool
+	timeline         string
+	timelineInterval uint64
+	sample           bool
+	sampleWindows    int
+	sampleGap        uint64
+}
+
+// checkFlags rejects flags that are invalid or that the chosen experiment
+// would ignore, so a bad command line fails before any simulation runs.
+func checkFlags(f cliFlags) error {
+	switch {
+	case f.mallocs < 1:
+		return fmt.Errorf("-mallocs must be at least 1, got %d", f.mallocs)
+	case f.csv && f.exp != "fig14" && f.exp != "fig18" && f.exp != "all":
+		return fmt.Errorf("-csv applies to fig14, fig18 and all, not %q", f.exp)
+	case f.json && !matrixExps[f.exp] && f.exp != "attacks":
+		return errors.New("-json requires a matrix-backed experiment (fig14, fig16, fig17, fig18, all) or -exp attacks")
+	case f.timeline != "" && !matrixExps[f.exp]:
+		return errors.New("-timeline requires a matrix-backed experiment (fig14, fig16, fig17, fig18, all)")
+	case f.timeline != "" && f.timelineInterval == 0:
+		return errors.New("-timeline-interval must be at least 1")
+	case !f.sample && (f.sampleWindows != 0 || f.sampleGap != 0):
+		return errors.New("-sample-windows and -sample-gap require -sample")
+	}
+	return nil
 }
 
 // stderrIsTerminal reports whether stderr is attached to a character

@@ -37,6 +37,10 @@ func main() {
 	timelineInterval := flag.Uint64("timeline-interval", telemetry.DefaultInterval, "telemetry sampling interval in commit cycles (with -timeline)")
 	validateTimeline := flag.Bool("validate-timeline", true, "validate the written timeline against the trace_event schema (with -timeline)")
 	flag.Parse()
+	if *timeline != "" && *timelineInterval == 0 {
+		fmt.Fprintln(os.Stderr, "aossim: -timeline-interval must be at least 1")
+		os.Exit(1)
+	}
 
 	if *list {
 		var names []string

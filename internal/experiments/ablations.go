@@ -7,7 +7,6 @@ import (
 	"aos/internal/core"
 	"aos/internal/cpu"
 	"aos/internal/instrument"
-	"aos/internal/runner"
 	"aos/internal/security"
 	"aos/internal/stats"
 	"aos/internal/workload"
@@ -35,21 +34,16 @@ type ResizeResult struct {
 // sequential.
 func ResizeStudy(o Options) (*ResizeResult, error) {
 	res := &ResizeResult{SpecResizes: make(map[string]int)}
-	profiles := workload.SPEC()
-	jobs := make([]runner.Job[Summary], len(profiles))
-	for i, p := range profiles {
-		c := o.cell(p, instrument.AOS)
-		jobs[i] = runner.Job[Summary]{
-			Label: "resize: " + p.Name,
-			Run:   func() (Summary, error) { return runJob(c, o) },
-		}
+	var cells []Cell
+	for _, p := range workload.SPEC() {
+		cells = append(cells, o.cell(p, instrument.AOS))
 	}
-	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
-	if err := runner.Errs(results); err != nil {
-		return nil, err
+	runs := runCells("resize", cells, o)
+	if err := joinErrors(runs.failed); err != nil {
+		return nil, fmt.Errorf("resize: %w", err)
 	}
-	for i, r := range results {
-		res.SpecResizes[profiles[i].Name] = r.Value.Resizes
+	for _, c := range cells {
+		res.SpecResizes[c.Profile.Name] = runs.summaries[c].Resizes
 	}
 
 	// Stress: a process holding enough live chunks that some PAC row
@@ -120,95 +114,31 @@ func (r *ResizeResult) String() string {
 	return b.String()
 }
 
-// AblationResult holds design-choice sweeps beyond the paper's figures.
-type AblationResult struct {
-	Benchmarks []string
-	// Normalized execution time vs the full AOS configuration.
-	NoBWB         map[string]float64
-	NoForwarding  map[string]float64
-	MCQ12, MCQ96  map[string]float64
-	InitialAssoc4 map[string]float64
-}
-
-// ablations names the per-benchmark ablation cells in presentation order,
-// each an edit of the full AOS cell. The "full" cell is the normalization
-// base.
-var ablations = []struct {
-	name string
-	edit func(*Cell)
-}{
-	{"full", func(*Cell) {}},
-	{"no-bwb", func(c *Cell) { c.DisableBWB = true }},
-	{"no-forwarding", func(c *Cell) { c.DisableForwarding = true }},
-	{"mcq=12", func(c *Cell) { c.MCQSize = 12 }},
-	{"mcq=96", func(c *Cell) { c.MCQSize = 96 }},
-	{"assoc=4", func(c *Cell) { c.InitialHBTAssoc = 4 }},
+// ablations are the design-choice configurations of AOS, after the full
+// configuration they are normalized by.
+var ablations = []column{
+	{"full", instrument.AOS, nil},
+	{"no BWB", instrument.AOS, func(c *Cell) { c.DisableBWB = true }},
+	{"no forwarding", instrument.AOS, func(c *Cell) { c.DisableForwarding = true }},
+	{"MCQ=12", instrument.AOS, func(c *Cell) { c.MCQSize = 12 }},
+	{"MCQ=96", instrument.AOS, func(c *Cell) { c.MCQSize = 96 }},
+	{"init 4-way HBT", instrument.AOS, func(c *Cell) { c.InitialHBTAssoc = 4 }},
 }
 
 // Ablations sweeps the design choices DESIGN.md calls out, on the three
-// benchmarks most sensitive to the MCU (gcc, hmmer, omnetpp). All
-// (benchmark, configuration) pairs run as independent pool jobs, each
-// under the same strategy (exact or sampled) as every other cell.
-func Ablations(o Options) (*AblationResult, error) {
-	names := []string{"gcc", "hmmer", "omnetpp"}
-	res := &AblationResult{
-		Benchmarks:    names,
-		NoBWB:         map[string]float64{},
-		NoForwarding:  map[string]float64{},
-		MCQ12:         map[string]float64{},
-		MCQ96:         map[string]float64{},
-		InitialAssoc4: map[string]float64{},
-	}
-	var specs []JobSpec
-	var jobs []runner.Job[Summary]
-	for _, name := range names {
+// benchmarks most sensitive to the MCU (gcc, hmmer, omnetpp). Every cell
+// runs under the same strategy (exact or sampled) as every other.
+func Ablations(o Options) (*Table, error) {
+	var profiles []*workload.Profile
+	for _, name := range []string{"gcc", "hmmer", "omnetpp"} {
 		p, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %s", name)
 		}
-		for _, a := range ablations {
-			c := o.cell(p, instrument.AOS)
-			a.edit(&c)
-			spec := JobSpec{Benchmark: name, Scheme: instrument.AOS, Variant: a.name}
-			specs = append(specs, spec)
-			jobs = append(jobs, runner.Job[Summary]{
-				Label: "ablate: " + spec.String(),
-				Run:   func() (Summary, error) { return runJob(c, o) },
-			})
-		}
+		profiles = append(profiles, p)
 	}
-	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
-	if err := runner.Errs(results); err != nil {
-		return nil, err
-	}
-	cycles := make(map[JobSpec]float64, len(results))
-	for i, r := range results {
-		cycles[specs[i]] = float64(r.Value.CPU.Cycles)
-	}
-	for _, name := range names {
-		base := cycles[JobSpec{Benchmark: name, Scheme: instrument.AOS, Variant: "full"}]
-		if base == 0 {
-			return nil, fmt.Errorf("ablate: %s: full-configuration run has zero cycles; cannot normalize", name)
-		}
-		at := func(cfg string) float64 {
-			return cycles[JobSpec{Benchmark: name, Scheme: instrument.AOS, Variant: cfg}] / base
-		}
-		res.NoBWB[name] = at("no-bwb")
-		res.NoForwarding[name] = at("no-forwarding")
-		res.MCQ12[name] = at("mcq=12")
-		res.MCQ96[name] = at("mcq=96")
-		res.InitialAssoc4[name] = at("assoc=4")
-	}
-	return res, nil
-}
-
-// String renders the ablations.
-func (r *AblationResult) String() string {
-	t := stats.NewTable("benchmark", "no BWB", "no forwarding", "MCQ=12", "MCQ=96", "init 4-way HBT")
-	for _, b := range r.Benchmarks {
-		t.AddRow(b, r.NoBWB[b], r.NoForwarding[b], r.MCQ12[b], r.MCQ96[b], r.InitialAssoc4[b])
-	}
-	return "Design-choice ablations (exec time normalized to full AOS config)\n" + t.String()
+	head := Table{Title: "Design-choice ablations (exec time normalized to full AOS config)", NoGeomean: true}
+	return runTable("ablate", head, profiles, ablations, o)
 }
 
 // SecurityMatrix runs the §VII attack battery under every registered

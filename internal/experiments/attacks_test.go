@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -88,22 +86,7 @@ func TestAttackMatrixGolden(t *testing.T) {
 		t.Fatal("matrix JSON differs across worker counts")
 	}
 
-	golden := filepath.Join("testdata", "attacks_seed1.txt")
-	if os.Getenv("AOS_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(j1.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with AOS_UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if j1.String() != string(want) {
-		t.Errorf("matrix drifted from golden %s:\n%s", golden, j1)
-	}
+	checkGolden(t, "attacks_seed1.txt", j1.String())
 }
 
 // TestAttackMatrixModelShape: deterministic cells grade 100% or 0%

@@ -231,6 +231,16 @@ func (c Cell) runSampled(ctx context.Context, o Options, p *workload.Profile, m 
 	return res.WarmCounts, res.Est, nil
 }
 
+// String names the cell as benchmark/scheme, followed by /variant for a
+// machine other than the paper's default.
+func (c Cell) String() string {
+	name := c.Profile.Name + "/" + c.Scheme.String()
+	if v := c.variant(); v != "" {
+		name += "/" + v
+	}
+	return name
+}
+
 // variant renders the cell's machine configuration for checkpoint
 // addressing: "" for the paper's default machine, otherwise every
 // setting, so no cell restores another configuration's state.

@@ -4,17 +4,17 @@
 // over this package.
 //
 // Matrix-style experiments (the 16-benchmark x 5-scheme evaluation behind
-// Fig 14/16/17/18, the Fig 15 ablation, the resize study and the memory
-// profiles) fan out over internal/runner's bounded worker pool. Every job
-// runs its own Cell, which builds its own core.Machine + cpu.Core and seeds
-// its own RNG, so runs share no mutable state and Options.Workers only
-// changes wall-clock time: 1-worker and N-worker runs produce
-// byte-identical tables.
+// Fig 14/16/17/18, the Fig 15 ablation, the resize study, the ablations and
+// the all-scheme comparison) declare their Cells and fan them out through
+// runCells over internal/runner's bounded worker pool. Every Cell builds
+// its own core.Machine + cpu.Core and seeds its own RNG, so runs share no
+// mutable state and Options.Workers only changes wall-clock time: 1-worker
+// and N-worker runs produce byte-identical tables. Every baseline-
+// normalized result is a Table built by normalize.
 package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -124,28 +124,6 @@ func (o Options) cell(p *workload.Profile, s instrument.Scheme) Cell {
 // runJob is the pool job body, indirected so tests can inject failures.
 var runJob = Cell.Run
 
-// JobSpec identifies one run in an evaluation matrix: a benchmark under a
-// scheme, optionally in a named configuration variant.
-type JobSpec struct {
-	Benchmark string
-	Scheme    instrument.Scheme
-	Variant   string
-}
-
-// String renders the spec as benchmark/scheme[/variant].
-func (s JobSpec) String() string {
-	if s.Variant == "" {
-		return s.Benchmark + "/" + s.Scheme.String()
-	}
-	return s.Benchmark + "/" + s.Scheme.String() + "/" + s.Variant
-}
-
-// JobError records one failed matrix job.
-type JobError struct {
-	Spec JobSpec
-	Err  error
-}
-
 // Matrix holds the full 16-benchmark x 5-scheme evaluation used by
 // Fig 14 (execution time), Fig 16/17 (AOS behaviour) and Fig 18 (traffic).
 // Runs and Walls hold only the jobs that succeeded; Errors lists the rest,
@@ -160,19 +138,13 @@ type Matrix struct {
 }
 
 // Err joins the failed jobs' errors in job order (nil if none failed).
-func (m *Matrix) Err() error {
-	var errs []error
-	for _, e := range m.Errors {
-		errs = append(errs, fmt.Errorf("%s: %w", e.Spec, e.Err))
-	}
-	return errors.Join(errs...)
-}
+func (m *Matrix) Err() error { return joinErrors(m.Errors) }
 
-// Run looks up one benchmark/scheme summary.
+// run looks up one benchmark/scheme summary.
 func (m *Matrix) run(name string, s instrument.Scheme) (Summary, error) {
 	r, ok := m.Runs[name][s]
 	if !ok {
-		return Summary{}, fmt.Errorf("matrix: missing %s run", JobSpec{Benchmark: name, Scheme: s})
+		return Summary{}, fmt.Errorf("matrix: missing %s/%s run", name, s)
 	}
 	return r, nil
 }
@@ -193,219 +165,93 @@ func MatrixBenchmarks() []string {
 // On job failures it returns the partial matrix alongside the joined
 // error, so callers can still inspect (or render) the surviving runs.
 func RunMatrix(o Options) (*Matrix, error) {
-	profiles := workload.SPEC()
-	var specs []JobSpec
-	var jobs []runner.Job[Summary]
-	for _, p := range profiles {
-		for _, s := range instrument.Schemes() {
-			c := o.cell(p, s)
-			spec := JobSpec{Benchmark: p.Name, Scheme: s}
-			specs = append(specs, spec)
-			jobs = append(jobs, runner.Job[Summary]{
-				Label: "fig14: " + spec.String(),
-				Run:   func() (Summary, error) { return runJob(c, o) },
-			})
-		}
-	}
-	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
-
+	var cells []Cell
 	m := &Matrix{
 		Runs:  make(map[string]map[instrument.Scheme]Summary),
 		Walls: make(map[string]map[instrument.Scheme]time.Duration),
 	}
-	for _, p := range profiles {
+	for _, p := range workload.SPEC() {
 		m.Benchmarks = append(m.Benchmarks, p.Name)
 		m.Runs[p.Name] = make(map[instrument.Scheme]Summary)
 		m.Walls[p.Name] = make(map[instrument.Scheme]time.Duration)
-	}
-	for i, r := range results {
-		spec := specs[i]
-		if r.Err != nil {
-			m.Errors = append(m.Errors, JobError{Spec: spec, Err: r.Err})
-			continue
+		for _, s := range instrument.Schemes() {
+			cells = append(cells, o.cell(p, s))
 		}
-		m.Runs[spec.Benchmark][spec.Scheme] = r.Value
-		m.Walls[spec.Benchmark][spec.Scheme] = r.Wall
 	}
+	runs := runCells("fig14", cells, o)
+	for _, c := range cells {
+		if sum, ok := runs.summaries[c]; ok {
+			m.Runs[c.Profile.Name][c.Scheme] = sum
+			m.Walls[c.Profile.Name][c.Scheme] = runs.walls[c]
+		}
+	}
+	m.Errors = runs.failed
 	return m, m.Err()
 }
 
-// Fig14Row is one benchmark's normalized execution times.
-type Fig14Row struct {
-	Name       string
-	Normalized map[instrument.Scheme]float64
-}
-
-// Fig14Result is the paper's headline figure.
-type Fig14Result struct {
-	Rows    []Fig14Row
-	Geomean map[instrument.Scheme]float64
-}
-
-// Fig14 derives normalized execution time from the matrix. A missing or
-// zero-cycle Baseline run is an error (it would otherwise poison the
-// geomean with NaN/Inf), as is any missing scheme run.
-func Fig14(m *Matrix) (*Fig14Result, error) {
-	res := &Fig14Result{Geomean: make(map[instrument.Scheme]float64)}
-	series := make(map[instrument.Scheme][]float64)
-	for _, name := range m.Benchmarks {
-		baseRun, err := m.run(name, instrument.Baseline)
-		if err != nil {
-			return nil, fmt.Errorf("fig14: %w", err)
+// MatrixFigure normalizes Fig 14 (fig "fig14": execution time) or Fig 18
+// ("fig18": memory-hierarchy traffic) over the evaluation matrix's
+// schemes. cell reports a benchmark's cycles and traffic bytes under a
+// scheme, or false when that run is missing. Fig14 and Fig18 read a Matrix
+// through it and aosd reads its cached cells, so both report the same
+// figures.
+func MatrixFigure(fig string, benchmarks []string, cell func(benchmark string, s instrument.Scheme) (cycles, traffic uint64, ok bool)) (*Table, error) {
+	var head Table
+	switch fig {
+	case "fig14":
+		head = Table{Title: "Fig 14: normalized execution time (baseline = 1.0)", Metric: "cycles"}
+	case "fig18":
+		head = Table{Title: "Fig 18: normalized memory-hierarchy traffic (baseline = 1.0)", Metric: "traffic"}
+	default:
+		return nil, fmt.Errorf("unknown matrix figure %q", fig)
+	}
+	schemes := instrument.Schemes()
+	for _, s := range schemes {
+		head.Columns = append(head.Columns, s.String())
+	}
+	t, err := normalize(head, benchmarks, func(r, c int) (uint64, bool) {
+		cycles, traffic, ok := cell(benchmarks[r], schemes[c])
+		if fig == "fig18" {
+			return traffic, ok
 		}
-		base := float64(baseRun.CPU.Cycles)
-		if base == 0 {
-			return nil, fmt.Errorf("fig14: %s: Baseline run has zero cycles; cannot normalize", name)
-		}
-		row := Fig14Row{Name: name, Normalized: make(map[instrument.Scheme]float64)}
-		for _, s := range instrument.Schemes() {
-			r, err := m.run(name, s)
-			if err != nil {
-				return nil, fmt.Errorf("fig14: %w", err)
-			}
-			n := float64(r.CPU.Cycles) / base
-			row.Normalized[s] = n
-			if s != instrument.Baseline {
-				series[s] = append(series[s], n)
-			}
-		}
-		res.Rows = append(res.Rows, row)
+		return cycles, ok
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", fig, err)
 	}
-	for s, xs := range series {
-		res.Geomean[s] = stats.Geomean(xs)
-	}
-	return res, nil
+	return t, nil
 }
 
-// CSV renders the normalized-time rows as comma-separated values for
-// external plotting.
-func (r *Fig14Result) CSV() string {
-	var b strings.Builder
-	b.WriteString("benchmark,watchdog,pa,aos,pa+aos\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%.4f,%.4f,%.4f,%.4f\n", row.Name,
-			row.Normalized[instrument.Watchdog], row.Normalized[instrument.PA],
-			row.Normalized[instrument.AOS], row.Normalized[instrument.PAAOS])
-	}
-	fmt.Fprintf(&b, "geomean,%.4f,%.4f,%.4f,%.4f\n",
-		r.Geomean[instrument.Watchdog], r.Geomean[instrument.PA],
-		r.Geomean[instrument.AOS], r.Geomean[instrument.PAAOS])
-	return b.String()
+// figure normalizes one of MatrixFigure's figures over m's runs.
+func (m *Matrix) figure(fig string) (*Table, error) {
+	return MatrixFigure(fig, m.Benchmarks, func(b string, s instrument.Scheme) (uint64, uint64, bool) {
+		r, ok := m.Runs[b][s]
+		return r.CPU.Cycles, r.CPU.Traffic.Total(), ok
+	})
 }
 
-// String renders Fig 14 as a table.
-func (r *Fig14Result) String() string {
-	t := stats.NewTable("benchmark", "Watchdog", "PA", "AOS", "PA+AOS")
-	for _, row := range r.Rows {
-		t.AddRow(row.Name,
-			row.Normalized[instrument.Watchdog],
-			row.Normalized[instrument.PA],
-			row.Normalized[instrument.AOS],
-			row.Normalized[instrument.PAAOS])
-	}
-	t.AddRow("GEOMEAN",
-		r.Geomean[instrument.Watchdog],
-		r.Geomean[instrument.PA],
-		r.Geomean[instrument.AOS],
-		r.Geomean[instrument.PAAOS])
-	return "Fig 14: normalized execution time (baseline = 1.0)\n" + t.String()
+// Fig14 derives the paper's headline figure, normalized execution time,
+// from the matrix. A missing run or a zero-cycle Baseline run is an error.
+func Fig14(m *Matrix) (*Table, error) { return m.figure("fig14") }
+
+// Fig18 derives normalized memory-hierarchy traffic from the matrix, with
+// Fig14's guards.
+func Fig18(m *Matrix) (*Table, error) { return m.figure("fig18") }
+
+// fig15Columns are Fig 15's optimization configurations of AOS, after the
+// Baseline they are normalized by.
+var fig15Columns = []column{
+	{"Baseline", instrument.Baseline, nil},
+	{"NoOptimization", instrument.AOS, func(c *Cell) { c.DisableL1B, c.DisableCompression = true, true }},
+	{"L1-B", instrument.AOS, func(c *Cell) { c.DisableCompression = true }},
+	{"BoundsCompression", instrument.AOS, func(c *Cell) { c.DisableL1B = true }},
+	{"L1-B+BoundsCompression", instrument.AOS, nil},
 }
 
-// Fig15Variant identifies an optimization configuration.
-type Fig15Variant string
-
-// The four Fig 15 configurations.
-const (
-	V15None Fig15Variant = "NoOptimization"
-	V15L1B  Fig15Variant = "L1-B"
-	V15Comp Fig15Variant = "BoundsCompression"
-	V15Both Fig15Variant = "L1-B+BoundsCompression"
-)
-
-// Fig15Result is the optimization ablation.
-type Fig15Result struct {
-	Benchmarks []string
-	// Normalized[variant][benchmark] = exec time vs Baseline.
-	Normalized map[Fig15Variant]map[string]float64
-	Geomean    map[Fig15Variant]float64
-}
-
-// fig15Order is the presentation (and job) order of the variants.
-var fig15Order = []Fig15Variant{V15None, V15L1B, V15Comp, V15Both}
-
-// Fig15 runs AOS under the four optimization configurations, fanned out
-// over the worker pool (one baseline + four variant jobs per benchmark).
-func Fig15(o Options) (*Fig15Result, error) {
-	profiles := workload.SPEC()
-	var specs []JobSpec
-	var jobs []runner.Job[Summary]
-	addJob := func(c Cell, variant string) {
-		spec := JobSpec{Benchmark: c.Profile.Name, Scheme: c.Scheme, Variant: variant}
-		specs = append(specs, spec)
-		jobs = append(jobs, runner.Job[Summary]{
-			Label: "fig15: " + spec.String(),
-			Run:   func() (Summary, error) { return runJob(c, o) },
-		})
-	}
-	for _, p := range profiles {
-		addJob(o.cell(p, instrument.Baseline), "")
-		for _, v := range fig15Order {
-			c := o.cell(p, instrument.AOS)
-			c.DisableL1B = v == V15None || v == V15Comp
-			c.DisableCompression = v == V15None || v == V15L1B
-			addJob(c, string(v))
-		}
-	}
-	results := runner.Run(o.ctx(), jobs, o.runnerOptions())
-	if err := runner.Errs(results); err != nil {
-		return nil, err
-	}
-
-	res := &Fig15Result{
-		Normalized: make(map[Fig15Variant]map[string]float64),
-		Geomean:    make(map[Fig15Variant]float64),
-	}
-	for _, v := range fig15Order {
-		res.Normalized[v] = make(map[string]float64)
-	}
-	series := make(map[Fig15Variant][]float64)
-	bySpec := make(map[JobSpec]Summary, len(results))
-	for i, r := range results {
-		bySpec[specs[i]] = r.Value
-	}
-	for _, p := range profiles {
-		res.Benchmarks = append(res.Benchmarks, p.Name)
-		base := float64(bySpec[JobSpec{Benchmark: p.Name, Scheme: instrument.Baseline}].CPU.Cycles)
-		if base == 0 {
-			return nil, fmt.Errorf("fig15: %s: Baseline run has zero cycles; cannot normalize", p.Name)
-		}
-		for _, v := range fig15Order {
-			r := bySpec[JobSpec{Benchmark: p.Name, Scheme: instrument.AOS, Variant: string(v)}]
-			n := float64(r.CPU.Cycles) / base
-			res.Normalized[v][p.Name] = n
-			series[v] = append(series[v], n)
-		}
-	}
-	for v, xs := range series {
-		res.Geomean[v] = stats.Geomean(xs)
-	}
-	return res, nil
-}
-
-// String renders Fig 15.
-func (r *Fig15Result) String() string {
-	t := stats.NewTable("benchmark", string(V15None), string(V15L1B), string(V15Comp), string(V15Both))
-	for _, b := range r.Benchmarks {
-		t.AddRow(b, r.Normalized[V15None][b], r.Normalized[V15L1B][b],
-			r.Normalized[V15Comp][b], r.Normalized[V15Both][b])
-	}
-	cells := make([]interface{}, 0, 5)
-	cells = append(cells, "GEOMEAN")
-	for _, v := range fig15Order {
-		cells = append(cells, r.Geomean[v])
-	}
-	t.AddRow(cells...)
-	return "Fig 15: AOS optimization ablation (normalized execution time)\n" + t.String()
+// Fig15 runs AOS under the four optimization configurations.
+func Fig15(o Options) (*Table, error) {
+	return runTable("fig15", Table{Title: "Fig 15: AOS optimization ablation (normalized execution time)"},
+		workload.SPEC(), fig15Columns, o)
 }
 
 // Fig16Row is one benchmark's instruction statistics, scaled per 1B
@@ -496,79 +342,6 @@ func Fig17String(rows []Fig17Row) string {
 	return "Fig 17: bounds-table accesses and BWB hit rate (AOS)\n" + t.String()
 }
 
-// Fig18Result is normalized memory-hierarchy traffic.
-type Fig18Result struct {
-	Rows    []Fig14Row // same shape: normalized values per scheme
-	Geomean map[instrument.Scheme]float64
-}
-
-// Fig18 derives normalized network traffic from the matrix, with the same
-// missing/zero-baseline guards as Fig14.
-func Fig18(m *Matrix) (*Fig18Result, error) {
-	res := &Fig18Result{Geomean: make(map[instrument.Scheme]float64)}
-	series := make(map[instrument.Scheme][]float64)
-	for _, name := range m.Benchmarks {
-		baseRun, err := m.run(name, instrument.Baseline)
-		if err != nil {
-			return nil, fmt.Errorf("fig18: %w", err)
-		}
-		base := float64(baseRun.CPU.Traffic.Total())
-		if base == 0 {
-			return nil, fmt.Errorf("fig18: %s: Baseline run has zero traffic; cannot normalize", name)
-		}
-		row := Fig14Row{Name: name, Normalized: make(map[instrument.Scheme]float64)}
-		for _, s := range instrument.Schemes() {
-			r, err := m.run(name, s)
-			if err != nil {
-				return nil, fmt.Errorf("fig18: %w", err)
-			}
-			n := float64(r.CPU.Traffic.Total()) / base
-			row.Normalized[s] = n
-			if s != instrument.Baseline {
-				series[s] = append(series[s], n)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for s, xs := range series {
-		res.Geomean[s] = stats.Geomean(xs)
-	}
-	return res, nil
-}
-
-// CSV renders the traffic rows as comma-separated values.
-func (r *Fig18Result) CSV() string {
-	var b strings.Builder
-	b.WriteString("benchmark,watchdog,pa,aos,pa+aos\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%.4f,%.4f,%.4f,%.4f\n", row.Name,
-			row.Normalized[instrument.Watchdog], row.Normalized[instrument.PA],
-			row.Normalized[instrument.AOS], row.Normalized[instrument.PAAOS])
-	}
-	fmt.Fprintf(&b, "geomean,%.4f,%.4f,%.4f,%.4f\n",
-		r.Geomean[instrument.Watchdog], r.Geomean[instrument.PA],
-		r.Geomean[instrument.AOS], r.Geomean[instrument.PAAOS])
-	return b.String()
-}
-
-// String renders Fig 18.
-func (r *Fig18Result) String() string {
-	t := stats.NewTable("benchmark", "Watchdog", "PA", "AOS", "PA+AOS")
-	for _, row := range r.Rows {
-		t.AddRow(row.Name,
-			row.Normalized[instrument.Watchdog],
-			row.Normalized[instrument.PA],
-			row.Normalized[instrument.AOS],
-			row.Normalized[instrument.PAAOS])
-	}
-	t.AddRow("GEOMEAN",
-		r.Geomean[instrument.Watchdog],
-		r.Geomean[instrument.PA],
-		r.Geomean[instrument.AOS],
-		r.Geomean[instrument.PAAOS])
-	return "Fig 18: normalized memory-hierarchy traffic (baseline = 1.0)\n" + t.String()
-}
-
 // Fig11Result is the PAC-distribution study.
 type Fig11Result struct {
 	Mallocs  uint64
@@ -581,6 +354,9 @@ type Fig11Result struct {
 // the paper's key and context over the returned addresses, histogrammed
 // over the 16-bit PAC space.
 func Fig11(n int) (*Fig11Result, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("fig11: malloc count must be at least 1, got %d", n)
+	}
 	// The paper's exact parameters: context 0x477d469dec0b8762, key
 	// 0x84be85ce9804e94bec2802d4e0a488e9.
 	const context = 0x477d469dec0b8762

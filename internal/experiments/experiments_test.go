@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,14 +13,14 @@ import (
 
 func tinyOpts() Options { return Options{Instructions: 15_000, Seed: 1} }
 
+// TestRunMatrixShape checks the reference matrix's shape and the figures
+// derived from it. Fig 14 and Fig 18 columns follow instrument.Schemes(),
+// so a scheme indexes its column.
 func TestRunMatrixShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run")
 	}
-	m, err := RunMatrix(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := refMatrix(t)
 	if len(m.Benchmarks) != 16 {
 		t.Fatalf("benchmarks = %d", len(m.Benchmarks))
 	}
@@ -40,12 +41,12 @@ func TestRunMatrixShape(t *testing.T) {
 		t.Errorf("fig14 rows = %d", len(f14.Rows))
 	}
 	for _, row := range f14.Rows {
-		if row.Normalized[instrument.Baseline] != 1.0 {
-			t.Errorf("%s: baseline normalized to %v", row.Name, row.Normalized[instrument.Baseline])
+		if row.Values[instrument.Baseline] != 1.0 {
+			t.Errorf("%s: baseline normalized to %v", row.Name, row.Values[instrument.Baseline])
 		}
-		for s, v := range row.Normalized {
+		for c, v := range row.Values {
 			if v <= 0 || v > 20 {
-				t.Errorf("%s/%v: implausible normalized time %v", row.Name, s, v)
+				t.Errorf("%s/%s: implausible normalized time %v", row.Name, f14.Columns[c], v)
 			}
 		}
 	}
@@ -109,7 +110,7 @@ func TestRunMatrixShape(t *testing.T) {
 		t.Error("fig18 rendering missing geomean")
 	}
 
-	doc, err := MatrixDocument(m, tinyOpts(), 0)
+	doc, err := MatrixDocument(m, refOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestMatrixFailureInjection(t *testing.T) {
 	if m == nil {
 		t.Fatal("matrix discarded on job failure")
 	}
-	if len(m.Errors) != 1 || m.Errors[0].Spec.Benchmark != "gcc" || m.Errors[0].Spec.Scheme != instrument.AOS {
+	if len(m.Errors) != 1 || m.Errors[0].Cell.Profile.Name != "gcc" || m.Errors[0].Cell.Scheme != instrument.AOS {
 		t.Fatalf("errors = %+v", m.Errors)
 	}
 	if _, ok := m.Runs["gcc"][instrument.AOS]; ok {
@@ -275,6 +276,11 @@ func TestFig11(t *testing.T) {
 	if r.String() == "" {
 		t.Error("empty rendering")
 	}
+	for _, n := range []int{0, -5} {
+		if _, err := Fig11(n); err == nil {
+			t.Errorf("Fig11(%d) accepted a run with no mallocs", n)
+		}
+	}
 }
 
 func TestMemProfilesSpec(t *testing.T) {
@@ -332,21 +338,24 @@ func TestFig15SmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Benchmarks) != 16 {
-		t.Fatalf("benchmarks = %d", len(r.Benchmarks))
+	if len(r.Rows) != 16 {
+		t.Fatalf("benchmarks = %d", len(r.Rows))
 	}
-	for _, v := range []Fig15Variant{V15None, V15L1B, V15Comp, V15Both} {
-		if r.Geomean[v] <= 0 {
-			t.Errorf("%s geomean = %v", v, r.Geomean[v])
+	for c, label := range r.Columns {
+		if r.Geomean[c] <= 0 {
+			t.Errorf("%s geomean = %v", label, r.Geomean[c])
 		}
 	}
 	// Both optimizations together must not be worse than none.
-	if r.Geomean[V15Both] > r.Geomean[V15None]+0.02 {
-		t.Errorf("optimizations hurt: both=%v none=%v", r.Geomean[V15Both], r.Geomean[V15None])
+	none := r.Geomean[slices.Index(r.Columns, "NoOptimization")]
+	both := r.Geomean[slices.Index(r.Columns, "L1-B+BoundsCompression")]
+	if both > none+0.02 {
+		t.Errorf("optimizations hurt: both=%v none=%v", both, none)
 	}
 	if !strings.Contains(r.String(), "GEOMEAN") {
 		t.Error("rendering missing geomean")
 	}
+	checkGolden(t, "fig15_15k.txt", r.String())
 }
 
 // TestProgressEvents checks that matrix runs emit per-job completions

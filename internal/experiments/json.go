@@ -66,48 +66,32 @@ func MatrixDocument(m *Matrix, o Options, wall time.Duration) (*MatrixDoc, error
 	if err != nil {
 		return nil, err
 	}
-	normTime := make(map[string]map[instrument.Scheme]float64)
-	for _, row := range f14.Rows {
-		normTime[row.Name] = row.Normalized
-	}
-	normTraffic := make(map[string]map[instrument.Scheme]float64)
-	for _, row := range f18.Rows {
-		normTraffic[row.Name] = row.Normalized
-	}
-
 	doc := &MatrixDoc{
 		Schema:         MatrixSchema,
 		Instructions:   o.Instructions,
 		Seed:           o.seed(),
 		Workers:        o.Workers,
 		WallSeconds:    wall.Seconds(),
-		GeomeanTime:    make(map[string]float64),
-		GeomeanTraffic: make(map[string]float64),
+		GeomeanTime:    f14.Geomeans(),
+		GeomeanTraffic: f18.Geomeans(),
 	}
-	for _, name := range m.Benchmarks {
+	// Both figures succeeded, so every run is present, and their rows and
+	// columns follow the matrix's benchmark and scheme order.
+	for i, name := range m.Benchmarks {
 		bd := BenchmarkDoc{Name: name}
-		for _, s := range instrument.Schemes() {
-			r, err := m.run(name, s)
-			if err != nil {
-				return nil, err
-			}
+		for c, s := range instrument.Schemes() {
+			r := m.Runs[name][s]
 			bd.Runs = append(bd.Runs, RunDoc{
 				Scheme:            s.String(),
 				Cycles:            r.CPU.Cycles,
 				Instructions:      r.CPU.Insts,
 				IPC:               r.CPU.IPC(),
-				NormalizedTime:    normTime[name][s],
-				NormalizedTraffic: normTraffic[name][s],
+				NormalizedTime:    f14.Rows[i].Values[c],
+				NormalizedTraffic: f18.Rows[i].Values[c],
 				WallSeconds:       m.Walls[name][s].Seconds(),
 			})
 		}
 		doc.Benchmarks = append(doc.Benchmarks, bd)
-	}
-	for s, g := range f14.Geomean {
-		doc.GeomeanTime[s.String()] = g
-	}
-	for s, g := range f18.Geomean {
-		doc.GeomeanTraffic[s.String()] = g
 	}
 	return doc, nil
 }

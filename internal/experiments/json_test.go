@@ -158,7 +158,7 @@ func TestMatrixErrOrderDeterministic(t *testing.T) {
 			t.Fatalf("trial %d: %d errors, want %d", trial, len(m.Errors), len(want))
 		}
 		for i, e := range m.Errors {
-			if got := e.Spec.String(); got != want[i] {
+			if got := e.Cell.String(); got != want[i] {
 				t.Fatalf("trial %d: Errors[%d] = %s, want %s", trial, i, got, want[i])
 			}
 		}

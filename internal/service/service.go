@@ -40,7 +40,6 @@ import (
 	"aos/internal/instrument"
 	"aos/internal/runner"
 	"aos/internal/sampling"
-	"aos/internal/stats"
 	"aos/internal/telemetry"
 	"aos/internal/tracespan"
 )
@@ -843,15 +842,12 @@ type figRow struct {
 // (normalized traffic) from the 16x5 evaluation matrix, cell by cell:
 // cached cells are free, missing cells are scheduled on the pool with
 // queue-aware pacing. Repeating the request against a warm daemon touches
-// no simulator at all.
+// no simulator at all. The cells are normalized by
+// experiments.MatrixFigure, as aosbench's figures are.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	fig := r.PathValue("fig")
-	var metric func(*experiments.SimResult) float64
 	switch fig {
-	case "fig14":
-		metric = func(res *experiments.SimResult) float64 { return float64(res.Cycles) }
-	case "fig18":
-		metric = func(res *experiments.SimResult) float64 { return float64(res.TrafficBytes) }
+	case "fig14", "fig18":
 	case "attacks":
 		s.handleAttacks(w, r)
 		return
@@ -906,38 +902,34 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	compose.SetAttr("cached_cells", uint64(cachedCells))
 	compose.End()
 
+	t, err := experiments.MatrixFigure(fig, experiments.MatrixBenchmarks(), func(b string, scheme instrument.Scheme) (uint64, uint64, bool) {
+		res, ok := cells[cellKey(b, scheme.String())]
+		if !ok {
+			return 0, 0, false
+		}
+		return res.Cycles, res.TrafficBytes, true
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	doc := figDoc{
 		Schema:       "aosd/" + fig + "/v1",
 		Instructions: specs[0].Instructions,
 		Seed:         specs[0].Seed,
 		Cells:        len(specs),
 		CachedCells:  cachedCells,
-		Geomean:      map[string]float64{},
+		Geomean:      t.Geomeans(),
 	}
 	if tr != nil {
 		doc.TraceID = tr.TraceID().String()
 	}
-	series := map[string][]float64{}
-	baselineName := instrument.Baseline.String()
-	for _, p := range experiments.MatrixBenchmarks() {
-		baseRes := cells[cellKey(p, baselineName)]
-		baseVal := metric(baseRes)
-		if baseVal == 0 {
-			writeError(w, http.StatusInternalServerError, "%s: %s baseline is zero; cannot normalize", fig, p)
-			return
+	for _, row := range t.Rows {
+		fr := figRow{Benchmark: row.Name, Normalized: map[string]float64{}}
+		for c, label := range t.Columns {
+			fr.Normalized[label] = row.Values[c]
 		}
-		row := figRow{Benchmark: p, Normalized: map[string]float64{}}
-		for _, scheme := range instrument.Schemes() {
-			n := metric(cells[cellKey(p, scheme.String())]) / baseVal
-			row.Normalized[scheme.String()] = n
-			if scheme != instrument.Baseline {
-				series[scheme.String()] = append(series[scheme.String()], n)
-			}
-		}
-		doc.Rows = append(doc.Rows, row)
-	}
-	for _, k := range stats.SortedKeys(series) {
-		doc.Geomean[k] = stats.Geomean(series[k])
+		doc.Rows = append(doc.Rows, fr)
 	}
 	writeJSON(w, http.StatusOK, doc)
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -573,6 +574,59 @@ func TestFig14Endpoint(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("%s: status = %d, want %d", url, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestFigureEndpointsMatchExperiments ties aosd's figures to aosbench's:
+// with real simulations, the fig14 and fig18 endpoints must report exactly
+// the normalized values and geomeans experiments.Fig14 and Fig18 compute
+// over RunMatrix at the same budget and seed.
+func TestFigureEndpointsMatchExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two matrix runs")
+	}
+	const insts = 4000
+	m, err := experiments.RunMatrix(experiments.Options{Instructions: insts, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 128})
+	for _, f := range []struct {
+		fig    string
+		derive func(*experiments.Matrix) (*experiments.Table, error)
+	}{{"fig14", experiments.Fig14}, {"fig18", experiments.Fig18}} {
+		fig := f.fig
+		want, err := f.derive(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/experiments/%s?insts=%d", ts.URL, fig, insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc figDoc
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", fig, resp.StatusCode, err)
+		}
+		if len(doc.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %d rows, want %d", fig, len(doc.Rows), len(want.Rows))
+		}
+		for i, row := range want.Rows {
+			got := doc.Rows[i]
+			if got.Benchmark != row.Name || len(got.Normalized) != len(want.Columns) {
+				t.Fatalf("%s row %d: %+v, want %s over %v", fig, i, got, row.Name, want.Columns)
+			}
+			for c, label := range want.Columns {
+				if got.Normalized[label] != row.Values[c] {
+					t.Errorf("%s %s/%s: aosd %v, aosbench %v", fig, row.Name, label, got.Normalized[label], row.Values[c])
+				}
+			}
+		}
+		if g := want.Geomeans(); !reflect.DeepEqual(doc.Geomean, g) {
+			t.Errorf("%s geomeans: aosd %v, aosbench %v", fig, doc.Geomean, g)
 		}
 	}
 }
