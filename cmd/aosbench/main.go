@@ -71,7 +71,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 	if err := checkFlags(cliFlags{
-		exp: *exp, mallocs: *mallocs, csv: *csv, json: *jsonOut,
+		exp: *exp, mallocs: *mallocs, csv: *csv, json: *jsonOut, attackPrograms: *attackPrograms,
 		timeline: *timelinePath, timelineInterval: *timelineInterval,
 		sample: *sample, sampleWindows: *sampleWindows, sampleGap: *sampleGap,
 	}); err != nil {
@@ -333,6 +333,7 @@ type cliFlags struct {
 	exp              string
 	mallocs          int
 	csv, json        bool
+	attackPrograms   int
 	timeline         string
 	timelineInterval uint64
 	sample           bool
@@ -350,6 +351,10 @@ func checkFlags(f cliFlags) error {
 		return fmt.Errorf("-csv applies to fig14, fig18 and all, not %q", f.exp)
 	case f.json && !matrixExps[f.exp] && f.exp != "attacks":
 		return errors.New("-json requires a matrix-backed experiment (fig14, fig16, fig17, fig18, all) or -exp attacks")
+	case f.attackPrograms != 0 && f.exp != "attacks":
+		return fmt.Errorf("-attack-programs applies to -exp attacks, not %q", f.exp)
+	case f.attackPrograms < 0 || f.attackPrograms > 1<<16:
+		return fmt.Errorf("-attack-programs must be in 0..65536, got %d", f.attackPrograms)
 	case f.timeline != "" && !matrixExps[f.exp]:
 		return errors.New("-timeline requires a matrix-backed experiment (fig14, fig16, fig17, fig18, all)")
 	case f.timeline != "" && f.timelineInterval == 0:

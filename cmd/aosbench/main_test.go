@@ -24,6 +24,12 @@ func TestCheckFlags(t *testing.T) {
 		{"json fig14", func(f *cliFlags) { f.exp, f.json = "fig14", true }, ""},
 		{"json attacks", func(f *cliFlags) { f.exp, f.json = "attacks", true }, ""},
 		{"json fig15", func(f *cliFlags) { f.exp, f.json = "fig15", true }, "-json"},
+		{"attack programs", func(f *cliFlags) { f.exp, f.attackPrograms = "attacks", 200 }, ""},
+		{"attack programs at the cap", func(f *cliFlags) { f.exp, f.attackPrograms = "attacks", 1<<16 }, ""},
+		{"attack programs over the cap", func(f *cliFlags) { f.exp, f.attackPrograms = "attacks", 1<<16+1 }, "0..65536"},
+		{"negative attack programs", func(f *cliFlags) { f.exp, f.attackPrograms = "attacks", -1 }, "0..65536"},
+		{"attack programs security", func(f *cliFlags) { f.exp, f.attackPrograms = "security", 5 }, "-exp attacks"},
+		{"attack programs all", func(f *cliFlags) { f.attackPrograms = 5 }, "-exp attacks"},
 		{"timeline fig14", func(f *cliFlags) { f.exp, f.timeline = "fig14", "t.json" }, ""},
 		{"timeline resize", func(f *cliFlags) { f.exp, f.timeline = "resize", "t.json" }, "-timeline requires"},
 		{"timeline zero interval", func(f *cliFlags) { f.exp, f.timeline, f.timelineInterval = "fig14", "t.json", 0 }, "-timeline-interval"},

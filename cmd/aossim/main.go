@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,8 +38,12 @@ func main() {
 	timelineInterval := flag.Uint64("timeline-interval", telemetry.DefaultInterval, "telemetry sampling interval in commit cycles (with -timeline)")
 	validateTimeline := flag.Bool("validate-timeline", true, "validate the written timeline against the trace_event schema (with -timeline)")
 	flag.Parse()
-	if *timeline != "" && *timelineInterval == 0 {
-		fmt.Fprintln(os.Stderr, "aossim: -timeline-interval must be at least 1")
+	if err := checkFlags(cliFlags{
+		attack: *attackClass, attackTrace: *attackTrace, replay: *replay,
+		record: *record, pipetrace: *pipetrace,
+		timeline: *timeline, timelineInterval: *timelineInterval,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "aossim:", err)
 		os.Exit(1)
 	}
 
@@ -138,6 +143,35 @@ func main() {
 	fmt.Printf("  HBT assoc        %12d (%d resizes)\n", r.HBTAssoc, r.HBTResizes)
 	fmt.Printf("  heap             allocs=%d frees=%d maxLive=%d\n", r.Heap.Allocs, r.Heap.Frees, r.Heap.MaxLive)
 	fmt.Printf("  violations       %12d\n", len(r.Exceptions))
+}
+
+// cliFlags holds the flags checkFlags validates.
+type cliFlags struct {
+	attack, attackTrace, replay string
+	record                      string
+	pipetrace                   int
+	timeline                    string
+	timelineInterval            uint64
+}
+
+// checkFlags rejects output flags the chosen mode would drop (-replay and
+// -attack return before a workload runs; -pipetrace runs the workload
+// without recording it), so a bad command line fails before any
+// simulation runs instead of exiting 0 with no file written.
+func checkFlags(f cliFlags) error {
+	switch {
+	case f.attackTrace != "" && f.attack == "":
+		return errors.New("-attack-trace requires -attack")
+	case f.timeline != "" && (f.attack != "" || f.replay != ""):
+		return errors.New("-timeline records a workload run; it cannot be combined with -attack or -replay")
+	case f.record != "" && (f.attack != "" || f.replay != "" || f.pipetrace > 0):
+		return errors.New("-record records a workload run; it cannot be combined with -attack, -replay or -pipetrace")
+	case f.pipetrace > 0 && (f.attack != "" || f.replay != ""):
+		return errors.New("-pipetrace traces a workload run; it cannot be combined with -attack or -replay")
+	case f.timeline != "" && f.timelineInterval == 0:
+		return errors.New("-timeline-interval must be at least 1")
+	}
+	return nil
 }
 
 // writeTimeline exports the run's telemetry as a Perfetto-loadable

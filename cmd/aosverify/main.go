@@ -41,6 +41,10 @@ func main() {
 		}
 		return
 	}
+	if *k < 1 {
+		fmt.Fprintf(os.Stderr, "aosverify: -k must be at least 1, got %d\n", *k)
+		os.Exit(2)
+	}
 	if *all == (*schemeName != "") {
 		fmt.Fprintln(os.Stderr, "aosverify: pass exactly one of -all or -scheme")
 		os.Exit(2)

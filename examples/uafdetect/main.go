@@ -3,8 +3,9 @@
 // AHC-forging defense of §VII-C (which the grammar cannot express —
 // it needs direct access to the pointer-signing unit).
 //
-// For each class the generator synthesizes a batch of randomized attack
-// programs and this example reports the detection rate — deterministic
+// For each class the harness grades one detection-rate cell (20 generated
+// programs at seed 1, the cell `aosbench -exp attacks -attack-programs 20`
+// computes) and this example reports the detection rate — deterministic
 // classes come out 20/20, while the PAC-aliasing classes (use-after-free
 // and double free, where an exact same-size reuse can re-sign the same
 // address with the same bounds) show the probabilistic gap the paper
@@ -14,11 +15,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"aos"
-	"aos/internal/attack"
+	"aos/internal/experiments"
 	"aos/internal/pa"
 	"aos/internal/security"
 )
@@ -31,32 +33,17 @@ func main() {
 	fmt.Printf("%-22s %-14s %s\n", "attack class", "model", "detected")
 
 	for _, class := range security.Classes() {
-		var detected, bypassed int
-		for i := 0; i < programs; i++ {
-			p, err := attack.Generate(class, attack.MixSeed(1, class, i))
-			if err != nil {
-				log.Fatal(err)
-			}
-			r, err := attack.Run(p, aos.PAAOS)
-			if err != nil {
-				log.Fatal(err)
-			}
-			switch r.Verdict {
-			case attack.VerdictDetected:
-				detected++
-			case attack.VerdictBypassed:
-				bypassed++
-			default:
-				log.Fatalf("%v program %d graded %v; the model promised %v",
-					class, i, r.Verdict, r.Expected)
-			}
+		cell, err := experiments.RunAttackSpec(context.Background(), experiments.AttackSpec{
+			Scheme: aos.PAAOS.String(), Class: class.String(), Programs: programs, Seed: 1,
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
 		note := ""
-		if bypassed > 0 {
+		if cell.Bypassed > 0 {
 			note = "  (PAC aliasing: same-size reuse re-signs the same bounds)"
 		}
-		fmt.Printf("%-22s %-14s %d/%d%s\n",
-			class, security.Expected(aos.PAAOS, class), detected, programs, note)
+		fmt.Printf("%-22s %-14s %d/%d%s\n", class, cell.Expected, cell.Detected, programs, note)
 	}
 
 	// AHC forging (§VII-C): zeroing the AHC to dodge bounds checking is

@@ -73,7 +73,8 @@ type Result struct {
 // failure (a benign step errored — generated programs never do), not a
 // detection: detections live in the Result.
 func Run(p *Program, s instrument.Scheme) (Result, error) {
-	return runSink(p, s, nil)
+	res, _, err := runSink(p, s, nil)
+	return res, err
 }
 
 // WriteTrace re-runs the program under s with a trace.Writer attached, so
@@ -84,18 +85,20 @@ func WriteTrace(p *Program, s instrument.Scheme, w io.Writer) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runSink(p, s, tw)
+	res, _, err := runSink(p, s, tw)
 	if err != nil {
 		return res, err
 	}
 	return res, tw.Close()
 }
 
-func runSink(p *Program, s instrument.Scheme, sink isa.Sink) (Result, error) {
+// runSink is Run with an optional trace sink; it also returns the pointer
+// each slot's allocation returned.
+func runSink(p *Program, s instrument.Scheme, sink isa.Sink) (Result, []core.Ptr, error) {
 	res := Result{Scheme: s, Expected: security.Expected(s, p.Class), DetectedAt: -1}
 	m, err := core.New(core.Config{Scheme: s})
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	if sink != nil {
 		m.SetSink(sink)
@@ -143,11 +146,11 @@ func runSink(p *Program, s instrument.Scheme, sink isa.Sink) (Result, error) {
 		case KFakeFree:
 			stepErr = m.Free(core.Ptr{Raw: st.Addr + 16})
 		default:
-			return res, fmt.Errorf("attack: unknown step kind %v", st.Kind)
+			return res, nil, fmt.Errorf("attack: unknown step kind %v", st.Kind)
 		}
 		if stepErr != nil {
 			if !st.Attack && !st.Check {
-				return res, fmt.Errorf("attack: benign step %d (%s) failed under %v: %w",
+				return res, nil, fmt.Errorf("attack: benign step %d (%s) failed under %v: %w",
 					i, st.describe(), s, stepErr)
 			}
 			res.DetectedAt = i
@@ -170,7 +173,7 @@ func runSink(p *Program, s instrument.Scheme, sink isa.Sink) (Result, error) {
 	default:
 		res.Verdict = VerdictEscaped
 	}
-	return res, nil
+	return res, ptrs, nil
 }
 
 // RunAll grades the program under every registered scheme, in registry

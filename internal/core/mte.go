@@ -25,7 +25,7 @@ import (
 // the allocation's last, rounding-padded granule, and — in real MTE —
 // any violation landing on a granule that reuses the pointer's tag
 // (1 in 15 for far-away granules; see security.MTEBypassProbability).
-// The deterministic tag cycle makes the simulated battery reproducible.
+// The deterministic tag cycle makes every simulated attack reproducible.
 
 const (
 	// mteTagShift places the tag in the pointer's top byte.

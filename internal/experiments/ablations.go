@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"aos/internal/attack"
 	"aos/internal/core"
 	"aos/internal/cpu"
 	"aos/internal/instrument"
@@ -141,25 +142,24 @@ func Ablations(o Options) (*Table, error) {
 	return runTable("ablate", head, profiles, ablations, o)
 }
 
-// SecurityMatrix runs the §VII attack battery under every registered
-// scheme — the paper's five plus the MTE and hardened-allocator
-// backends — and renders the detection matrix.
-func SecurityMatrix() (string, error) {
-	rows, err := security.RunMatrix()
-	if err != nil {
-		return "", err
-	}
+// SecurityMatrix mounts the §VII scenarios under every registered scheme
+// — the paper's five plus the MTE and hardened-allocator backends — and
+// renders the detection matrix. A heap scenario whose run contradicts the
+// detection model fails the matrix.
+func SecurityMatrix() (string, error) { return securityMatrix(attack.Scenarios()) }
+
+func securityMatrix(scenarios []attack.Scenario) (string, error) {
 	t := stats.NewTable("attack", "Baseline", "Watchdog", "PA", "AOS", "PA+AOS", "MTE", "Hardened", "paper")
-	for _, r := range rows {
-		t.AddRow(r.Attack,
-			r.Outcomes[instrument.Baseline].String(),
-			r.Outcomes[instrument.Watchdog].String(),
-			r.Outcomes[instrument.PA].String(),
-			r.Outcomes[instrument.AOS].String(),
-			r.Outcomes[instrument.PAAOS].String(),
-			r.Outcomes[instrument.MTE].String(),
-			r.Outcomes[instrument.HardenedAlloc].String(),
-			r.Paper)
+	for _, sc := range scenarios {
+		row := []interface{}{sc.Name}
+		for _, s := range instrument.AllSchemes() {
+			out, err := sc.Mount(s)
+			if err != nil {
+				return "", fmt.Errorf("%s under %v: %w", sc.Name, s, err)
+			}
+			row = append(row, out)
+		}
+		t.AddRow(append(row, sc.Paper)...)
 	}
 	hdr := "Security analysis (§VII): attack detection matrix\n"
 	ftr := fmt.Sprintf("\nPAC brute force (§VII-E): p(guess)=1/%d; %d attempts for 50%% success\n"+

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"aos/internal/attack"
 	"aos/internal/instrument"
 	"aos/internal/security"
 )
@@ -122,6 +123,27 @@ func TestAttackMatrixModelShape(t *testing.T) {
 	for _, c := range security.Classes() {
 		if !strings.Contains(out, c.String()) {
 			t.Errorf("render missing class %s", c)
+		}
+	}
+}
+
+// TestSecurityMatrixFailsOnModelViolation: a §VII scenario whose run
+// contradicts the detection model fails the whole matrix, naming the
+// scenario and carrying its listing. Labelled double-free, the adjacent
+// OOB read is a PHANTOM under Watchdog, which detects it although the
+// model promises Watchdog never catches a double free.
+func TestSecurityMatrixFailsOnModelViolation(t *testing.T) {
+	sc := attack.Scenarios()[0]
+	prog := *sc.Program
+	prog.Class = security.DoubleFree
+	sc.Program = &prog
+	_, err := securityMatrix([]attack.Scenario{sc})
+	if err == nil {
+		t.Fatal("mislabelled scenario passed the matrix")
+	}
+	for _, want := range []string{sc.Name, "under Watchdog", "PHANTOM", "attack double-free"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error missing %q:\n%v", want, err)
 		}
 	}
 }

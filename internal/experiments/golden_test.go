@@ -55,3 +55,13 @@ func TestNormalizedTableGoldens(t *testing.T) {
 	checkGolden(t, "fig18_ref.csv", f18.CSV())
 	checkGolden(t, "ablate_8k.txt", abl.String())
 }
+
+// TestSecurityMatrixGolden pins the §VII detection matrix byte for byte.
+// Regenerate with AOS_UPDATE_GOLDEN=1.
+func TestSecurityMatrixGolden(t *testing.T) {
+	out, err := SecurityMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "security.txt", out)
+}

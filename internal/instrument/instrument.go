@@ -28,7 +28,7 @@
 //
 // Each scheme is described by a Descriptor in the registry; the functional
 // machine (internal/core), the trace sanitizer (internal/tracecheck) and
-// the security battery (internal/security) all key their scheme-specific
+// the attack harness (internal/attack) all key their scheme-specific
 // behavior off the Scheme value and the Descriptor's behavior flags.
 package instrument
 

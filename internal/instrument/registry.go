@@ -5,7 +5,7 @@ package instrument
 // accepted parse aliases, a one-line model summary, and the behavior
 // flags the instrumentation rewriter, the functional machine
 // (internal/core), the trace-contract sanitizer (internal/tracecheck)
-// and the detection battery (internal/security) dispatch on.
+// and the detection model (internal/security) dispatch on.
 //
 // Adding a backend means adding a Scheme constant, a registry entry, a
 // tracecheck contract for any new ops it emits, core-machine behavior

@@ -9,9 +9,9 @@ import (
 
 // Class is a heap-attack class in the PACSan-style violation taxonomy the
 // adversarial harness (internal/attack) generates programs for and the
-// detection-rate matrix is graded against. Unlike the Battery scenarios —
-// one hand-written exploit each — a Class names a whole family of
-// programs; Expected states how a scheme must behave on EVERY member.
+// detection-rate matrix is graded against. A Class names a whole family
+// of programs, from the §VII scenarios' fixed exploits to every generated
+// variant; Expected states how a scheme must behave on EVERY member.
 type Class int
 
 // Attack classes. The order is the matrix row order.

@@ -1,289 +1,10 @@
-// Package security implements the paper's security analysis (§VII) as an
-// executable battery: each attack scenario from the paper — spatial and
-// temporal heap violations (Fig 12), the House-of-Spirit data-oriented
-// attack (Fig 1), heap metadata corruption, AHC forging (§VII-C), and
-// inter-object overflows — is mounted against a live machine under every
-// protection scheme, producing the detection matrix the paper argues in
-// prose. It also provides the PAC-entropy arithmetic behind the §VII-E
-// brute-force feasibility claim.
+// Package security holds the paper's security analysis (§VII) apart from
+// the attacks themselves, which live in internal/attack: the detection
+// model (Expected) that every heap attack is graded against, and the
+// PAC-entropy arithmetic behind the §VII-E brute-force feasibility claim.
 package security
 
-import (
-	"fmt"
-	"math"
-
-	"aos/internal/core"
-	"aos/internal/instrument"
-	"aos/internal/pa"
-)
-
-// Outcome describes what happened when an attack ran under a scheme.
-type Outcome int
-
-// Attack outcomes.
-const (
-	// Undetected means the attack's illegal operation completed silently.
-	Undetected Outcome = iota
-	// Detected means the scheme raised a violation before damage was done.
-	Detected
-	// NotApplicable means the scenario cannot be expressed under the
-	// scheme (e.g. AHC forging without pointer signing).
-	NotApplicable
-)
-
-// String renders the outcome for the matrix.
-func (o Outcome) String() string {
-	switch o {
-	case Detected:
-		return "DETECTED"
-	case NotApplicable:
-		return "n/a"
-	default:
-		return "undetected"
-	}
-}
-
-// Attack is one mounted scenario.
-type Attack struct {
-	// Name identifies the scenario.
-	Name string
-	// Paper cites where the paper discusses it.
-	Paper string
-	// Run mounts the attack on a fresh machine and reports the outcome.
-	Run func(m *core.Machine) (Outcome, error)
-}
-
-// Battery returns every scenario of the analysis.
-func Battery() []Attack {
-	return []Attack{
-		{
-			Name:  "heap OOB read (adjacent)",
-			Paper: "Fig 12 line 6",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(80)
-				if err != nil {
-					return Undetected, err
-				}
-				if err := m.Load(p, 88, core.AccessOpts{}); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "heap OOB write (adjacent)",
-			Paper: "Fig 12 line 7",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(80)
-				if err != nil {
-					return Undetected, err
-				}
-				if err := m.Store(p, 88, core.AccessOpts{}); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "non-adjacent OOB (jumps redzones)",
-			Paper: "§I: >60% of spatial violations since 2014",
-			Run: func(m *core.Machine) (Outcome, error) {
-				a, err := m.Malloc(64)
-				if err != nil {
-					return Undetected, err
-				}
-				b, err := m.Malloc(64)
-				if err != nil {
-					return Undetected, err
-				}
-				// Reach b (and beyond) from a with a large offset, skipping
-				// any surrounding redzone a blacklisting scheme would place.
-				off := b.VA() - a.VA() + 4096
-				if err := m.Load(a, off, core.AccessOpts{}); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "use-after-free read",
-			Paper: "Fig 12 line 14",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(64)
-				if err != nil {
-					return Undetected, err
-				}
-				if err := m.Free(p); err != nil {
-					return Undetected, err
-				}
-				if err := m.Load(p, 0, core.AccessOpts{}); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "dangling pointer into reused memory",
-			Paper: "§III: temporal safety",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(1 << 13)
-				if err != nil {
-					return Undetected, err
-				}
-				if err := m.Free(p); err != nil {
-					return Undetected, err
-				}
-				// New owner takes (part of) the memory.
-				if _, err := m.Malloc(1 << 12); err != nil {
-					return Undetected, err
-				}
-				// The stale pointer reaches beyond the new owner's object.
-				if err := m.Store(p, 1<<12+64, core.AccessOpts{}); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "double free (tcache-key bypass)",
-			Paper: "Fig 12 lines 16-19, §VII-D",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(64)
-				if err != nil {
-					return Undetected, err
-				}
-				if err := m.Free(p); err != nil {
-					return Undetected, err
-				}
-				// Classic glibc bypass: the attacker scribbles over the
-				// tcache key in the freed chunk, defeating the allocator's
-				// own double-free heuristic. Only an external mechanism
-				// (AOS's bndclr, Watchdog's identifiers) still catches it.
-				m.Mem.WriteU64(p.VA()+8, 0)
-				if err := m.Free(p); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "House of Spirit (crafted free)",
-			Paper: "Fig 1, §VII-A",
-			Run: func(m *core.Machine) (Outcome, error) {
-				// Craft a fake fast chunk in attacker memory.
-				const fake = uint64(0x1000_0000)
-				const size = 0x40
-				m.Mem.WriteU64(fake+8, size)
-				m.Mem.WriteU64(fake+size+8, size)
-				crafted := core.Ptr{Raw: fake + 16}
-				if err := m.Free(crafted); err != nil {
-					return Detected, nil
-				}
-				victim, err := m.Malloc(0x30)
-				if err != nil {
-					return Undetected, err
-				}
-				if victim.VA() == crafted.VA() {
-					return Undetected, nil // attacker got their memory back
-				}
-				return Detected, nil
-			},
-		},
-		{
-			Name:  "heap metadata corruption via overflow",
-			Paper: "§VII-D: heap metadata protection",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(64)
-				if err != nil {
-					return Undetected, err
-				}
-				if _, err := m.Malloc(64); err != nil {
-					return Undetected, err
-				}
-				// Overwrite the next chunk's size header (at the end of p's
-				// usable area + header offset).
-				if err := m.Store(p, m.Heap.UsableSize(p.VA())+8, core.AccessOpts{}); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "AHC forging (strip AHC, keep address)",
-			Paper: "§VII-C",
-			Run: func(m *core.Machine) (Outcome, error) {
-				p, err := m.Malloc(64)
-				if err != nil {
-					return Undetected, err
-				}
-				if !m.Scheme.SignsDataPointers() {
-					return NotApplicable, nil
-				}
-				forged := core.Ptr{Raw: p.Raw &^ (uint64(3) << pa.AHCShift)}
-				if !m.Scheme.UsesAutm() {
-					// Without autm, a zero-AHC pointer simply skips bounds
-					// checking: the forge succeeds.
-					if err := m.Load(forged, 4096, core.AccessOpts{}); err != nil {
-						return Detected, nil
-					}
-					return Undetected, nil
-				}
-				if err := m.AutM(forged); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-		{
-			Name:  "return-address corruption (ROP)",
-			Paper: "§VII-B, Fig 3",
-			Run: func(m *core.Machine) (Outcome, error) {
-				if !m.Scheme.HasReturnAddressSigning() {
-					return NotApplicable, nil
-				}
-				// Sign a return address, corrupt it, authenticate.
-				ret := uint64(0x40_1000)
-				sp := uint64(0x3FFF_FFFE_0000)
-				signed := m.PAUnit.SignCode(pa.KeyIA, ret, sp)
-				corrupted := signed ^ 0x40 // attacker redirects control flow
-				if _, err := m.PAUnit.AuthCode(pa.KeyIA, corrupted, sp); err != nil {
-					return Detected, nil
-				}
-				return Undetected, nil
-			},
-		},
-	}
-}
-
-// MatrixRow is one attack's outcome across schemes.
-type MatrixRow struct {
-	Attack   string
-	Paper    string
-	Outcomes map[instrument.Scheme]Outcome
-}
-
-// RunMatrix mounts every attack under every registered scheme (the
-// paper's five plus the MTE and hardened-allocator backends), each on a
-// fresh machine.
-func RunMatrix() ([]MatrixRow, error) {
-	var rows []MatrixRow
-	for _, a := range Battery() {
-		row := MatrixRow{Attack: a.Name, Paper: a.Paper, Outcomes: map[instrument.Scheme]Outcome{}}
-		for _, s := range instrument.AllSchemes() {
-			m, err := core.New(core.Config{Scheme: s})
-			if err != nil {
-				return nil, err
-			}
-			out, err := a.Run(m)
-			if err != nil {
-				return nil, fmt.Errorf("%s under %v: %w", a.Name, s, err)
-			}
-			row.Outcomes[s] = out
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
+import "math"
 
 // --- §VII-E: PAC entropy and brute-force feasibility ---
 

@@ -7,187 +7,6 @@ import (
 	"aos/internal/instrument"
 )
 
-func TestMatrixShape(t *testing.T) {
-	rows, err := RunMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Battery()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(Battery()))
-	}
-	for _, r := range rows {
-		if len(r.Outcomes) != len(instrument.AllSchemes()) {
-			t.Errorf("%s: %d outcomes, want %d", r.Attack, len(r.Outcomes), len(instrument.AllSchemes()))
-		}
-	}
-}
-
-// outcomes collects the matrix indexed by attack name.
-func outcomes(t *testing.T) map[string]map[instrument.Scheme]Outcome {
-	t.Helper()
-	rows, err := RunMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]map[instrument.Scheme]Outcome{}
-	for _, r := range rows {
-		m[r.Attack] = r.Outcomes
-	}
-	return m
-}
-
-func TestAOSDetectsEverythingApplicable(t *testing.T) {
-	// §VII: AOS provides complete spatial and temporal heap safety. Under
-	// PA+AOS, every scenario in the battery must be caught.
-	m := outcomes(t)
-	for attack, out := range m {
-		if got := out[instrument.PAAOS]; got == Undetected {
-			t.Errorf("PA+AOS missed %q", attack)
-		}
-	}
-	// Plain AOS catches everything except the return-address scenario
-	// (pointer integrity is the PA extension) and AHC forging is caught
-	// only by autm.
-	for attack, out := range m {
-		switch attack {
-		case "return-address corruption (ROP)":
-			if out[instrument.AOS] != NotApplicable {
-				t.Errorf("AOS on ROP = %v, want n/a", out[instrument.AOS])
-			}
-		case "AHC forging (strip AHC, keep address)":
-			if out[instrument.AOS] != Undetected {
-				t.Errorf("AOS without autm on AHC forging = %v; the paper's §VII-C defense needs autm", out[instrument.AOS])
-			}
-		default:
-			if out[instrument.AOS] != Detected {
-				t.Errorf("AOS missed %q", attack)
-			}
-		}
-	}
-}
-
-func TestBaselineDetectsNothing(t *testing.T) {
-	m := outcomes(t)
-	for attack, out := range m {
-		got := out[instrument.Baseline]
-		if got == Detected {
-			t.Errorf("baseline 'detected' %q; it has no mechanism", attack)
-		}
-	}
-}
-
-func TestWatchdogCoverage(t *testing.T) {
-	// Watchdog catches spatial and temporal violations through identifiers
-	// and bounds, but not the crafted-free data-oriented attack (its
-	// check micro-ops guard dereferences, not free()).
-	m := outcomes(t)
-	mustDetect := []string{
-		"heap OOB read (adjacent)",
-		"heap OOB write (adjacent)",
-		"non-adjacent OOB (jumps redzones)",
-		"use-after-free read",
-		"dangling pointer into reused memory",
-	}
-	for _, attack := range mustDetect {
-		if m[attack][instrument.Watchdog] != Detected {
-			t.Errorf("Watchdog missed %q", attack)
-		}
-	}
-	if m["House of Spirit (crafted free)"][instrument.Watchdog] == Detected {
-		t.Log("note: Watchdog detected House of Spirit (stricter than modeled expectation)")
-	}
-}
-
-func TestPACatchesROPOnly(t *testing.T) {
-	m := outcomes(t)
-	if m["return-address corruption (ROP)"][instrument.PA] != Detected {
-		t.Error("PA missed return-address corruption")
-	}
-	if m["heap OOB read (adjacent)"][instrument.PA] == Detected {
-		t.Error("PA 'detected' an OOB read; it provides integrity, not bounds (§II-B)")
-	}
-}
-
-func TestNonAdjacentVsBlacklisting(t *testing.T) {
-	// The paper's core argument against trip-wire schemes: non-adjacent
-	// accesses jump over redzones. Whitelisting (AOS) must catch them.
-	m := outcomes(t)
-	if m["non-adjacent OOB (jumps redzones)"][instrument.AOS] != Detected {
-		t.Error("AOS missed a non-adjacent OOB")
-	}
-}
-
-func TestMTECoverage(t *testing.T) {
-	// MTE's lock-and-key tagging catches every granule-crossing spatial
-	// violation and every temporal one in the battery: freed granules are
-	// retagged to 0, so stale pointers and second frees both mismatch.
-	m := outcomes(t)
-	mustDetect := []string{
-		"heap OOB read (adjacent)",
-		"heap OOB write (adjacent)",
-		"non-adjacent OOB (jumps redzones)",
-		"use-after-free read",
-		"dangling pointer into reused memory",
-		"double free (tcache-key bypass)",
-		"heap metadata corruption via overflow",
-	}
-	for _, attack := range mustDetect {
-		if m[attack][instrument.MTE] != Detected {
-			t.Errorf("MTE missed %q", attack)
-		}
-	}
-	// The crafted chunk lives in untagged (tag-0) memory and the forged
-	// pointer carries tag 0: the tags agree, so the free sails through.
-	if m["House of Spirit (crafted free)"][instrument.MTE] != Undetected {
-		t.Errorf("MTE on House of Spirit = %v, want undetected",
-			m["House of Spirit (crafted free)"][instrument.MTE])
-	}
-	// No pointer signing, no return-address signing.
-	for _, attack := range []string{
-		"AHC forging (strip AHC, keep address)",
-		"return-address corruption (ROP)",
-	} {
-		if m[attack][instrument.MTE] != NotApplicable {
-			t.Errorf("MTE on %q = %v, want n/a", attack, m[attack][instrument.MTE])
-		}
-	}
-}
-
-func TestHardenedAllocCoverage(t *testing.T) {
-	// The software-hardened allocator guards its own entry points, not
-	// dereferences: the quarantine catches the double free, ownership
-	// validation rejects the crafted chunk, and everything that never
-	// calls back into the allocator stays invisible.
-	m := outcomes(t)
-	for _, attack := range []string{
-		"double free (tcache-key bypass)",
-		"House of Spirit (crafted free)",
-	} {
-		if m[attack][instrument.HardenedAlloc] != Detected {
-			t.Errorf("HardenedAlloc missed %q", attack)
-		}
-	}
-	for _, attack := range []string{
-		"heap OOB read (adjacent)",
-		"non-adjacent OOB (jumps redzones)",
-		"use-after-free read",
-		"dangling pointer into reused memory",
-	} {
-		if m[attack][instrument.HardenedAlloc] != Undetected {
-			t.Errorf("HardenedAlloc on %q = %v, want undetected (no dereference checks)",
-				attack, m[attack][instrument.HardenedAlloc])
-		}
-	}
-	for _, attack := range []string{
-		"AHC forging (strip AHC, keep address)",
-		"return-address corruption (ROP)",
-	} {
-		if m[attack][instrument.HardenedAlloc] != NotApplicable {
-			t.Errorf("HardenedAlloc on %q = %v, want n/a", attack, m[attack][instrument.HardenedAlloc])
-		}
-	}
-}
-
 func TestMTEBypassProbability(t *testing.T) {
 	// 4-bit tags, one value reserved for untagged memory: a random
 	// far-away granule matches the pointer's tag 1 time in 15.
