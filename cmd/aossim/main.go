@@ -30,18 +30,21 @@ func main() {
 	noFwd := flag.Bool("no-forwarding", false, "disable bounds forwarding")
 	record := flag.String("record", "", "record the dynamic instruction stream to this trace file")
 	pipetrace := flag.Int("pipetrace", 0, "print pipeline timestamps for the first N instructions")
-	replay := flag.String("replay", "", "replay a recorded trace through the timing core (ignores -workload)")
-	attackClass := flag.String("attack", "", "generate and grade one heap-attack program of this class under every scheme (see internal/security.ClassNames; ignores -workload)")
+	replay := flag.String("replay", "", "replay a recorded trace through the timing core (runs no workload: rejects -workload, -insts, -seed and the -no-* flags)")
+	attackClass := flag.String("attack", "", "generate and grade one heap-attack program of this class under every scheme (see internal/security.ClassNames; runs no workload: rejects -workload, -insts and the -no-* flags)")
 	attackTrace := flag.String("attack-trace", "", "with -attack: when the program evades -scheme, write the minimized escape's trace here (replayable with -replay)")
 	nocheck := flag.Bool("nocheck", false, "disable the always-on tracecheck protocol sanitizer")
 	timeline := flag.String("timeline", "", "record cycle-sampled telemetry and write a Perfetto trace_event JSON timeline to this file")
 	timelineInterval := flag.Uint64("timeline-interval", telemetry.DefaultInterval, "telemetry sampling interval in commit cycles (with -timeline)")
 	validateTimeline := flag.Bool("validate-timeline", true, "validate the written timeline against the trace_event schema (with -timeline)")
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkFlags(cliFlags{
 		attack: *attackClass, attackTrace: *attackTrace, replay: *replay,
 		record: *record, pipetrace: *pipetrace,
 		timeline: *timeline, timelineInterval: *timelineInterval,
+		set: set,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "aossim:", err)
 		os.Exit(1)
@@ -152,14 +155,37 @@ type cliFlags struct {
 	pipetrace                   int
 	timeline                    string
 	timelineInterval            uint64
+	// set names the flags given explicitly on the command line.
+	set map[string]bool
 }
 
-// checkFlags rejects output flags the chosen mode would drop (-replay and
-// -attack return before a workload runs; -pipetrace runs the workload
-// without recording it), so a bad command line fails before any
-// simulation runs instead of exiting 0 with no file written.
+// workloadFlags configure a workload run, which -attack and -replay skip.
+var workloadFlags = []string{"workload", "insts", "no-l1b", "no-compression", "no-bwb", "no-forwarding"}
+
+// checkFlags rejects flags the chosen mode would drop (-replay and -attack
+// return before a workload runs; -pipetrace runs the workload without
+// recording it), so a bad command line fails before any simulation runs
+// instead of exiting 0 with the flag ignored or no file written.
 func checkFlags(f cliFlags) error {
+	mode := ""
 	switch {
+	case f.attack != "" && f.replay != "":
+		return errors.New("-attack and -replay are separate modes; give one")
+	case f.attack != "":
+		mode = "-attack"
+	case f.replay != "":
+		mode = "-replay"
+	}
+	if mode != "" {
+		for _, name := range workloadFlags {
+			if f.set[name] {
+				return fmt.Errorf("-%s configures a workload run; %s runs none", name, mode)
+			}
+		}
+	}
+	switch {
+	case f.replay != "" && f.set["seed"]:
+		return errors.New("-seed drives the workload generator; -replay runs a recorded trace")
 	case f.attackTrace != "" && f.attack == "":
 		return errors.New("-attack-trace requires -attack")
 	case f.timeline != "" && (f.attack != "" || f.replay != ""):

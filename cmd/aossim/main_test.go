@@ -5,13 +5,23 @@ import (
 	"testing"
 )
 
+// set builds the explicitly-set flag names of a command line.
+func set(names ...string) map[string]bool {
+	m := make(map[string]bool)
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
+
 func TestCheckFlags(t *testing.T) {
 	ok := cliFlags{timelineInterval: 1024}
-	for _, tc := range []struct {
+	type testCase struct {
 		name string
 		edit func(*cliFlags)
 		want string // substring of the error; "" accepts
-	}{
+	}
+	cases := []testCase{
 		{"defaults", func(*cliFlags) {}, ""},
 		{"attack", func(f *cliFlags) { f.attack = "fake-free" }, ""},
 		{"attack trace", func(f *cliFlags) { f.attack, f.attackTrace = "fake-free", "e.trace" }, ""},
@@ -30,7 +40,18 @@ func TestCheckFlags(t *testing.T) {
 		{"pipetrace with attack", func(f *cliFlags) { f.pipetrace, f.attack = 20, "fake-free" }, "-pipetrace"},
 		{"pipetrace with replay", func(f *cliFlags) { f.pipetrace, f.replay = 20, "r.trace" }, "-pipetrace"},
 		{"replay", func(f *cliFlags) { f.replay = "r.trace" }, ""},
-	} {
+		{"attack with replay", func(f *cliFlags) { f.attack, f.replay = "fake-free", "r.trace" }, "-attack and -replay"},
+		{"attack with seed", func(f *cliFlags) { f.attack, f.set = "fake-free", set("seed") }, ""},
+		{"replay with seed", func(f *cliFlags) { f.replay, f.set = "r.trace", set("seed") }, "-seed"},
+		{"replay with scheme and nocheck", func(f *cliFlags) { f.replay, f.set = "r.trace", set("scheme", "nocheck") }, ""},
+		{"workload run with every workload flag", func(f *cliFlags) { f.set = set(append([]string{"seed"}, workloadFlags...)...) }, ""},
+	}
+	for _, name := range workloadFlags {
+		cases = append(cases,
+			testCase{"attack with -" + name, func(f *cliFlags) { f.attack, f.set = "fake-free", set(name) }, "-" + name},
+			testCase{"replay with -" + name, func(f *cliFlags) { f.replay, f.set = "r.trace", set(name) }, "-" + name})
+	}
+	for _, tc := range cases {
 		f := ok
 		tc.edit(&f)
 		err := checkFlags(f)

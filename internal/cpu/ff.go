@@ -23,7 +23,18 @@ const (
 
 // SetMode switches the consumption mode. Switching is legal at any
 // instruction boundary; the SMARTS driver flips it at segment boundaries.
-func (c *Core) SetMode(m Mode) { c.mode = m }
+// Attached telemetry leaves what a fast-forward stretch consumed out of
+// its sample windows.
+func (c *Core) SetMode(m Mode) {
+	if c.tel != nil && m != c.mode {
+		if m == ModeFastForward {
+			c.tel.ffStart = c.stats()
+		} else {
+			c.tel.skip(c.tel.ffStart, c.stats())
+		}
+	}
+	c.mode = m
+}
 
 // Mode reports the current consumption mode.
 func (c *Core) Mode() Mode { return c.mode }

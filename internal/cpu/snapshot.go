@@ -150,6 +150,7 @@ func (c *Core) Restore(s *CoreState) error {
 		len(s.dMSHR) != len(c.dMSHR) || len(s.bMSHR) != len(c.bMSHR) {
 		return fmt.Errorf("cpu: restore mismatch: queue geometry differs")
 	}
+	before := c.stats()
 	if err := c.hier.Restore(s.hier); err != nil {
 		return fmt.Errorf("cpu: %w", err)
 	}
@@ -188,5 +189,10 @@ func (c *Core) Restore(s *CoreState) error {
 	c.retireDelay = s.retireDelay
 	c.insts = s.insts
 	c.statsSince = s.statsSince
+	if c.tel != nil {
+		// A restore consumes no instructions: keep its jump in the
+		// statistics out of telemetry windows, as a fast-forward's is.
+		c.tel.skip(before, c.stats())
+	}
 	return nil
 }

@@ -49,17 +49,60 @@ type coreTelemetry struct {
 	bwbHitPct   *telemetry.Gauge
 	probeDepthM *telemetry.Gauge
 
-	// prev is the cumulative-stat snapshot at the previous sample.
-	prev struct {
-		cycle       uint64
-		insts       uint64
-		checked     uint64
-		boundsAcc   uint64
-		forwards    uint64
-		retireDelay uint64
-		bwb         mcu.BWBStats
-		resizes     int
+	// prev is the cumulative-stat snapshot at the previous sample, and
+	// prevCycle its commit cycle.
+	prev      coreStats
+	prevCycle uint64
+	// ffStart is the snapshot where the current fast-forward stretch
+	// began (meaningful in ModeFastForward only).
+	ffStart coreStats
+}
+
+// coreStats is a snapshot of the core's cumulative statistics.
+type coreStats struct {
+	insts       uint64
+	checked     uint64
+	boundsAcc   uint64
+	forwards    uint64
+	retireDelay uint64
+	bwb         mcu.BWBStats
+	resizes     int
+}
+
+func (c *Core) stats() coreStats {
+	s := coreStats{
+		insts:       c.insts,
+		checked:     c.checked,
+		boundsAcc:   c.boundsAccess,
+		forwards:    c.forwards,
+		retireDelay: c.retireDelay,
+		resizes:     c.resizes,
 	}
+	if c.bwb != nil {
+		s.bwb = c.bwb.Stats()
+	}
+	return s
+}
+
+// shift returns s advanced by the progress from a to b.
+func (s coreStats) shift(a, b coreStats) coreStats {
+	s.insts += b.insts - a.insts
+	s.checked += b.checked - a.checked
+	s.boundsAcc += b.boundsAcc - a.boundsAcc
+	s.forwards += b.forwards - a.forwards
+	s.retireDelay += b.retireDelay - a.retireDelay
+	s.bwb.Hits += b.bwb.Hits - a.bwb.Hits
+	s.bwb.Misses += b.bwb.Misses - a.bwb.Misses
+	s.resizes += b.resizes - a.resizes
+	return s
+}
+
+// skip keeps the progress from a to b, made outside detailed
+// consumption (a fast-forward stretch, a checkpoint restore), out of the
+// next sample's window, so windowed counters and rates cover detailed
+// instructions only.
+func (t *coreTelemetry) skip(a, b coreStats) {
+	t.prev = t.prev.shift(a, b)
 }
 
 func newCoreTelemetry(tl *telemetry.Timeline) *coreTelemetry {
@@ -128,24 +171,22 @@ func (c *Core) takeSample() {
 	// Fold cumulative core stats into counters as deltas. ResetStats
 	// (the warmup boundary) zeroes both the stats and the snapshot,
 	// so windows never go negative.
-	var bwb mcu.BWBStats
-	if c.bwb != nil {
-		bwb = c.bwb.Stats()
-	}
-	dBWB := bwb.Delta(t.prev.bwb)
-	t.insts.Add(c.insts - t.prev.insts)
-	t.cycles.Add(now - t.prev.cycle)
-	t.checked.Add(c.checked - t.prev.checked)
-	t.boundsAcc.Add(c.boundsAccess - t.prev.boundsAcc)
-	t.forwards.Add(c.forwards - t.prev.forwards)
-	t.retireDelay.Add(c.retireDelay - t.prev.retireDelay)
+	cur := c.stats()
+	dBWB := cur.bwb.Delta(t.prev.bwb)
+	dCyc := now - t.prevCycle
+	dInsts := cur.insts - t.prev.insts
+	dChecked := cur.checked - t.prev.checked
+	t.insts.Add(dInsts)
+	t.cycles.Add(dCyc)
+	t.checked.Add(dChecked)
+	t.boundsAcc.Add(cur.boundsAcc - t.prev.boundsAcc)
+	t.forwards.Add(cur.forwards - t.prev.forwards)
+	t.retireDelay.Add(cur.retireDelay - t.prev.retireDelay)
 	t.bwbHits.Add(dBWB.Hits)
 	t.bwbMisses.Add(dBWB.Misses)
-	t.resizes.Add(uint64(c.resizes - t.prev.resizes))
+	t.resizes.Add(uint64(cur.resizes - t.prev.resizes))
 
 	// Windowed rates as gauges.
-	dCyc := now - t.prev.cycle
-	dInsts := c.insts - t.prev.insts
 	if dCyc > 0 {
 		t.ipcMilli.Set(1000 * dInsts / dCyc)
 	}
@@ -154,9 +195,8 @@ func (c *Core) takeSample() {
 	} else {
 		t.bwbHitPct.Set(0)
 	}
-	dChecked := c.checked - t.prev.checked
 	if dChecked > 0 {
-		t.probeDepthM.Set(1000 * (c.boundsAccess - t.prev.boundsAcc) / dChecked)
+		t.probeDepthM.Set(1000 * (cur.boundsAcc - t.prev.boundsAcc) / dChecked)
 	} else {
 		t.probeDepthM.Set(0)
 	}
@@ -169,31 +209,20 @@ func (c *Core) takeSample() {
 	t.dMSHROcc.Set(ringOcc(c.dMSHR, now))
 	t.bMSHROcc.Set(ringOcc(c.bMSHR, now))
 
-	t.prev.cycle = now
-	t.prev.insts = c.insts
-	t.prev.checked = c.checked
-	t.prev.boundsAcc = c.boundsAccess
-	t.prev.forwards = c.forwards
-	t.prev.retireDelay = c.retireDelay
-	t.prev.bwb = bwb
-	t.prev.resizes = c.resizes
+	t.prevCycle = now
+	t.prev = cur
 
 	t.tl.Sample(now, c.insts)
 	c.nextSample = t.tl.Next()
 }
 
-// onResetStats re-bases the delta snapshot when the core's cumulative
+// onResetStats re-bases the delta snapshots when the core's cumulative
 // stats are cleared at the warmup boundary. The cycle base stays at
 // the commit frontier because lastCommit is monotonic across resets.
 func (t *coreTelemetry) onResetStats(lastCommit uint64) {
-	t.prev.cycle = lastCommit
-	t.prev.insts = 0
-	t.prev.checked = 0
-	t.prev.boundsAcc = 0
-	t.prev.forwards = 0
-	t.prev.retireDelay = 0
-	t.prev.bwb = mcu.BWBStats{}
-	t.prev.resizes = 0
+	t.prevCycle = lastCommit
+	t.prev = coreStats{}
+	t.ffStart = coreStats{}
 }
 
 // telNoteDispatch attributes a structural dispatch stall to the

@@ -104,7 +104,7 @@ func (c Cell) Build() (*core.Machine, *cpu.Core, error) {
 // TelemetryInterval and OnTimeline, and Sampling and Checkpoints. With
 // o.Sampling set the run is SMARTS-sampled: only the schedule's windows
 // run the detailed timing model and cycles are extrapolated from their
-// CPI; otherwise every instruction runs in detail.
+// CPI; otherwise every program instruction runs in detail (runExact).
 func (c Cell) Run(o Options) (Summary, error) {
 	ctx := o.ctx()
 	if err := ctx.Err(); err != nil {
@@ -139,7 +139,7 @@ func (c Cell) Run(o Options) (Summary, error) {
 	var warm isa.Counts
 	var est *sampling.Estimate
 	if o.Sampling == nil {
-		warm, err = runExact(ctx, prof, m, cc, seed, warmup, !c.NoWarmup)
+		warm, err = runExact(ctx, prof, m, cc, seed, warmup, !c.NoWarmup, tl)
 	} else {
 		warm, est, err = c.runSampled(ctx, o, prof, m, cc, seed, warmup, tl)
 	}
@@ -159,17 +159,36 @@ func (c Cell) Run(o Options) (Summary, error) {
 	return res, nil
 }
 
-// runExact drives the whole stream through the detailed timing model.
-// With warm set, the core's statistics restart once warmup program
-// instructions have run; the returned counts are the machine's at that
-// boundary (zero without it).
-func runExact(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core, seed int64, warmup uint64, warm bool) (isa.Counts, error) {
+// runExact drives the warmup and the measured region through the detailed
+// timing model. With warm set, the core's statistics restart once warmup
+// program instructions have run; the returned counts are the machine's at
+// that boundary (zero without it).
+//
+// A warmup of at least one sampling U segment (sampling.DefaultDetail)
+// runs the workload's set-up — the steady-state heap and the prefault
+// loads — in fast-forward mode, as a sampled cell does: set-up still warms
+// caches, predictor and BWB, and the detailed warmup settles the pipeline
+// before the statistics restart. A shorter warmup keeps set-up in detail,
+// and a cell without warmup measures its own. With tl set, a fast-forwarded
+// cell records its set-up and its detailed run as timeline slices.
+func runExact(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core, seed int64, warmup uint64, warm bool, tl *telemetry.Timeline) (isa.Counts, error) {
+	fast := warm && warmup >= sampling.DefaultDetail
+	if fast {
+		c.SetMode(cpu.ModeFastForward)
+	}
 	r, err := workload.NewRunner(p, m, seed)
 	if err != nil {
 		return isa.Counts{}, err
 	}
+	var setup sampling.Segment
+	if fast {
+		m.Flush()
+		c.SetMode(cpu.ModeDetailed)
+		setup = sampling.Segment{StartCycle: c.LastCommit(), EndCycle: c.LastCommit(), EndInst: c.Insts()}
+	}
 	total := p.Instructions + warmup
 	var atWarm isa.Counts
+	var warmInsts uint64
 	if warm {
 		if err := r.RunTo(ctx, warmup, total); err != nil {
 			return isa.Counts{}, err
@@ -177,6 +196,7 @@ func runExact(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.
 		// The core must have consumed every pre-boundary instruction
 		// before its statistics restart, exactly as in scalar emission.
 		m.Flush()
+		warmInsts = c.Insts() - setup.EndInst
 		c.ResetStats()
 		atWarm = m.Counts()
 	}
@@ -184,6 +204,14 @@ func runExact(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.
 		return isa.Counts{}, err
 	}
 	m.Flush()
+	if fast && tl != nil {
+		addSegmentSlice(tl, setup)
+		addSegmentSlice(tl, sampling.Segment{
+			Detailed:   true,
+			StartCycle: setup.EndCycle, EndCycle: c.LastCommit(),
+			EndInst: warmInsts + c.Insts(),
+		})
+	}
 	return atWarm, nil
 }
 
@@ -213,22 +241,27 @@ func (c Cell) runSampled(ctx context.Context, o Options, p *workload.Profile, m 
 		}
 	}
 	if tl != nil {
-		scfg.OnSegment = func(s sampling.Segment) {
-			name, mode := "sim/fastforward", uint64(0)
-			if s.Detailed {
-				name, mode = "sim/detailed", 1
-			}
-			tl.AddSlice(name, s.StartCycle, s.EndCycle-s.StartCycle, map[string]uint64{
-				"mode":  mode,
-				"insts": s.EndInst - s.StartInst,
-			})
-		}
+		scfg.OnSegment = func(s sampling.Segment) { addSegmentSlice(tl, s) }
 	}
 	res, err := sampling.Run(ctx, p, m, cc, seed, scfg)
 	if err != nil {
 		return isa.Counts{}, nil, err
 	}
 	return res.WarmCounts, res.Est, nil
+}
+
+// addSegmentSlice records one mode segment of a cell's run as a
+// sim/fastforward or sim/detailed timeline slice carrying its mode and the
+// instructions the core consumed in it.
+func addSegmentSlice(tl *telemetry.Timeline, s sampling.Segment) {
+	name, mode := "sim/fastforward", uint64(0)
+	if s.Detailed {
+		name, mode = "sim/detailed", 1
+	}
+	tl.AddSlice(name, s.StartCycle, s.EndCycle-s.StartCycle, map[string]uint64{
+		"mode":  mode,
+		"insts": s.EndInst - s.StartInst,
+	})
 }
 
 // String names the cell as benchmark/scheme, followed by /variant for a

@@ -252,14 +252,14 @@ func TestEventGrammar(t *testing.T) {
 		want    bool
 	}{
 		{[]Event{EvAlloc, EvFree, EvAccessFreed}, true, true},
-		{[]Event{EvFree}, true, false},               // nothing live
-		{[]Event{EvAccessFreed}, true, false},        // nothing dangling
-		{[]Event{EvAlloc, EvRealloc}, true, true},    // realloc retires old ptr
+		{[]Event{EvFree}, true, false},            // nothing live
+		{[]Event{EvAccessFreed}, true, false},     // nothing dangling
+		{[]Event{EvAlloc, EvRealloc}, true, true}, // realloc retires old ptr
 		{[]Event{EvAlloc, EvRealloc, EvAccessFreed}, true, true},
-		{[]Event{EvRet}, true, false},                // underflow
+		{[]Event{EvRet}, true, false},                  // underflow
 		{[]Event{EvCall, EvCall, EvCall}, true, false}, // depth cap
 		{[]Event{EvResize}, true, true},
-		{[]Event{EvResize}, false, false}, // resize only under signing
+		{[]Event{EvResize}, false, false},                 // resize only under signing
 		{[]Event{EvAlloc, EvAlloc, EvAlloc}, true, false}, // live cap
 	}
 	for _, c := range cases {

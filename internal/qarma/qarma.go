@@ -90,8 +90,13 @@ func invertSbox(s [16]uint64) [16]uint64 {
 type Cipher struct {
 	sbox    [16]uint64
 	sboxInv [16]uint64
-	rounds  int
-	w0, k0  uint64
+	// sb and sbInv apply the S-box and its inverse to both cells of a byte.
+	sb, sbInv [256]uint8
+	rounds    int
+	w0, k0    uint64
+	// reflKey is the reflector's key k1 (= k0) moved through the
+	// reflector's final shuffle: τ⁻¹(k1).
+	reflKey uint64
 }
 
 // New returns a QARMA-64 cipher with the given S-box, rounds and key halves.
@@ -103,13 +108,19 @@ func New(s Sbox, rounds int, w0, k0 uint64) (*Cipher, error) {
 	if rounds < 1 || rounds > len(roundConstants) {
 		return nil, fmt.Errorf("qarma: rounds must be in [1,%d], got %d", len(roundConstants), rounds)
 	}
-	return &Cipher{
+	q := &Cipher{
 		sbox:    sboxes[s],
 		sboxInv: invertSbox(sboxes[s]),
 		rounds:  rounds,
 		w0:      w0,
 		k0:      k0,
-	}, nil
+		reflKey: permuteCells(k0, &tauInv),
+	}
+	for b := range q.sb {
+		q.sb[b] = uint8(q.subCells(uint64(b)))
+		q.sbInv[b] = uint8(q.subCellsInv(uint64(b)))
+	}
+	return q, nil
 }
 
 // MustNew is New but panics on invalid parameters; for use with constants.
@@ -249,32 +260,83 @@ func (q *Cipher) w1() uint64 {
 	return ((q.w0 >> 1) | (q.w0 << 63)) ^ (q.w0 >> 63)
 }
 
-// Encrypt encrypts one 64-bit block under the given 64-bit tweak.
+// Byte-indexed tables of the cipher's four GF(2)-linear steps. Entry
+// [j][b] is the step applied to a state whose only nonzero byte is byte j
+// (byte 0 most significant) holding b; by linearity a step on any state is
+// the XOR of its eight bytes' entries. Each table is built from the
+// per-cell functions above.
+var (
+	// fwdMix is a full forward round's diffusion: τ, then M.
+	fwdMix = linearTable(func(x uint64) uint64 { return mixColumns(permuteCells(x, &tau)) })
+	// bwdMix is a full backward round's diffusion: M, then τ⁻¹.
+	bwdMix = linearTable(func(x uint64) uint64 { return permuteCells(mixColumns(x), &tauInv) })
+	// reflMix is the pseudo-reflector's linear part: τ⁻¹∘M∘τ.
+	reflMix = linearTable(func(x uint64) uint64 { return permuteCells(mixColumns(permuteCells(x, &tau)), &tauInv) })
+	// tweakStep is forwardTweak: h, then the LFSR on the stepped cells.
+	tweakStep = linearTable(forwardTweak)
+)
+
+// linearTable tabulates the GF(2)-linear map f byte by byte.
+func linearTable(f func(uint64) uint64) *[8][256]uint64 {
+	var t [8][256]uint64
+	for j := range t {
+		for b := range t[j] {
+			t[j][b] = f(uint64(b) << (56 - 8*j))
+		}
+	}
+	return &t
+}
+
+// linear applies a map tabulated by linearTable.
+func linear(t *[8][256]uint64, x uint64) uint64 {
+	return t[0][uint8(x>>56)] ^ t[1][uint8(x>>48)] ^ t[2][uint8(x>>40)] ^ t[3][uint8(x>>32)] ^
+		t[4][uint8(x>>24)] ^ t[5][uint8(x>>16)] ^ t[6][uint8(x>>8)] ^ t[7][uint8(x)]
+}
+
+// subBytes applies a byte-wide S-box table to every byte of x.
+func subBytes(x uint64, s *[256]uint8) uint64 {
+	return uint64(s[uint8(x>>56)])<<56 | uint64(s[uint8(x>>48)])<<48 |
+		uint64(s[uint8(x>>40)])<<40 | uint64(s[uint8(x>>32)])<<32 |
+		uint64(s[uint8(x>>24)])<<24 | uint64(s[uint8(x>>16)])<<16 |
+		uint64(s[uint8(x>>8)])<<8 | uint64(s[uint8(x)])
+}
+
+// Encrypt encrypts one 64-bit block under the given 64-bit tweak. It runs
+// the same rounds as forwardRound, pseudoReflect and backwardRound, with
+// each linear step and S-box layer read from byte-indexed tables.
 func (q *Cipher) Encrypt(plaintext, tweak uint64) uint64 {
 	w1 := q.w1()
-	k1 := q.k0
 
-	is := plaintext ^ q.w0
+	// tweaks[i] is forward round i's tweak, which backward round i
+	// reuses; t ends as the central tweak.
+	var tweaks [len(roundConstants)]uint64
 	t := tweak
 	for i := 0; i < q.rounds; i++ {
-		is = q.forwardRound(is, q.k0^t^roundConstants[i], i != 0)
-		t = forwardTweak(t)
+		tweaks[i] = t
+		t = linear(tweakStep, t)
 	}
 
-	is = q.forwardRound(is, w1^t, true)
-	is = q.pseudoReflect(is, k1)
-	is = q.backwardRound(is, q.w0^t, true)
-
-	for i := q.rounds - 1; i >= 0; i-- {
-		t = backwardTweak(t)
-		is = q.backwardRound(is, q.k0^t^roundConstants[i]^alpha, i != 0)
+	// The first forward round is short: no shuffle, no MixColumns.
+	is := subBytes(plaintext^q.w0^q.k0^tweaks[0]^roundConstants[0], &q.sb)
+	for i := 1; i < q.rounds; i++ {
+		is = subBytes(linear(fwdMix, is^q.k0^tweaks[i]^roundConstants[i]), &q.sb)
 	}
+
+	is = subBytes(linear(fwdMix, is^w1^t), &q.sb)
+	is = linear(reflMix, is) ^ q.reflKey
+	is = linear(bwdMix, subBytes(is, &q.sbInv)) ^ q.w0 ^ t
+
+	for i := q.rounds - 1; i > 0; i-- {
+		is = linear(bwdMix, subBytes(is, &q.sbInv)) ^ q.k0 ^ tweaks[i] ^ roundConstants[i] ^ alpha
+	}
+	is = subBytes(is, &q.sbInv) ^ q.k0 ^ tweaks[0] ^ roundConstants[0] ^ alpha
 	return is ^ w1
 }
 
 // Decrypt inverts Encrypt for the same tweak. It is implemented as the exact
 // structural inverse of Encrypt, so Decrypt(Encrypt(p, t), t) == p for all
-// keys and parameters.
+// keys and parameters. It runs the per-cell round functions: backwardRound
+// undoes a forward round and forwardRound a backward one.
 func (q *Cipher) Decrypt(ciphertext, tweak uint64) uint64 {
 	w1 := q.w1()
 	k1 := q.k0
@@ -300,39 +362,19 @@ func (q *Cipher) Decrypt(ciphertext, tweak uint64) uint64 {
 		backTweaks[i] = t
 	}
 	for i := 0; i < q.rounds; i++ {
-		is = q.invBackwardRound(is, q.k0^backTweaks[i]^roundConstants[i]^alpha, i != 0)
+		is = q.forwardRound(is, q.k0^backTweaks[i]^roundConstants[i]^alpha, i != 0)
 	}
 
 	// Undo the central section. The reflector tau^-1 . (^k1) . M . tau has
 	// inverse tau^-1 . M . (^k1) . tau, which equals the reflector keyed by
 	// M(k1) because M is linear and involutory.
-	is = q.invBackwardRound(is, q.w0^tweaks[q.rounds], true)
+	is = q.forwardRound(is, q.w0^tweaks[q.rounds], true)
 	is = q.pseudoReflect(is, mixColumns(k1))
-	is = q.invForwardRound(is, w1^tweaks[q.rounds], true)
+	is = q.backwardRound(is, w1^tweaks[q.rounds], true)
 
 	// Undo the forward rounds.
 	for i := q.rounds - 1; i >= 0; i-- {
-		is = q.invForwardRound(is, q.k0^tweaks[i]^roundConstants[i], i != 0)
+		is = q.backwardRound(is, q.k0^tweaks[i]^roundConstants[i], i != 0)
 	}
 	return is ^ q.w0
-}
-
-// invForwardRound inverts forwardRound.
-func (q *Cipher) invForwardRound(is, tk uint64, full bool) uint64 {
-	is = q.subCellsInv(is)
-	if full {
-		is = mixColumns(is)
-		is = permuteCells(is, &tauInv)
-	}
-	return is ^ tk
-}
-
-// invBackwardRound inverts backwardRound.
-func (q *Cipher) invBackwardRound(is, tk uint64, full bool) uint64 {
-	is ^= tk
-	if full {
-		is = permuteCells(is, &tau)
-		is = mixColumns(is)
-	}
-	return q.subCells(is)
 }
