@@ -112,12 +112,16 @@ type Machine struct {
 	wdLockCursor uint64
 	wdFreeLocks  []uint64
 	wdLockOf     map[uint64]uint64 // chunk base VA -> lock address
-	wdKeyOf      map[uint64]uint64 // chunk base VA -> key
 
-	// MTE state: memory tags by granule index, and the deterministic
-	// allocation-tag cycle (see mte.go).
-	mteTags map[uint64]uint8
+	// MTE state: memory tags, one byte per granule at the granule's index
+	// (va>>4) in a private space, and the deterministic allocation-tag
+	// cycle (see mte.go).
+	mteTags *mem.Memory
 	mteNext uint8
+
+	// Bounds-table event totals since construction; the telemetry
+	// counters of the same names follow them (see telemetry.go).
+	hbtInserts, hbtClears, hbtMigrated uint64
 
 	// tel holds the machine-side flight-recorder probes (nil when
 	// telemetry is disabled; see telemetry.go).
@@ -148,9 +152,9 @@ func New(cfg Config) (*Machine, error) {
 	case cfg.Scheme.HasHardenedAllocator():
 		h.SetHardening(heap.DefaultHardening())
 	}
-	var mteTags map[uint64]uint8
+	var mteTags *mem.Memory
 	if cfg.Scheme.UsesMemoryTagging() {
-		mteTags = make(map[uint64]uint8)
+		mteTags = mem.New()
 	}
 	return &Machine{
 		Mem:          m,
@@ -164,7 +168,6 @@ func New(cfg Config) (*Machine, error) {
 		sp:           kernel.StackTop,
 		wdLockCursor: kernel.ShadowBase,
 		wdLockOf:     make(map[uint64]uint64),
-		wdKeyOf:      make(map[uint64]uint64),
 	}, nil
 }
 
@@ -436,6 +439,7 @@ func (m *Machine) signAndStore(va, size uint64) (Ptr, error) {
 			return Ptr{}, err
 		}
 		resized = true
+		m.hbtMigrated += oldBytes
 		if m.tel != nil {
 			m.tel.hbtMigrated.Add(oldBytes)
 		}
@@ -445,6 +449,7 @@ func (m *Machine) signAndStore(va, size uint64) (Ptr, error) {
 	} else if err != nil {
 		return Ptr{}, err
 	}
+	m.hbtInserts++
 	if m.tel != nil {
 		m.tel.hbtInserts.Add(1)
 	}
@@ -479,7 +484,6 @@ func (m *Machine) watchdogSetID(va, size uint64) uint64 {
 		m.wdLockCursor += instrument.WDMetaBytes
 	}
 	m.wdLockOf[va] = lock
-	m.wdKeyOf[va] = m.wdNextKey
 	m.Mem.WriteU64(lock, m.wdNextKey)
 	m.emit(isa.Inst{Op: isa.OpWDSetID, Dest: m.allocReg(), Src1: isa.RegNone, Src2: isa.RegNone})
 	m.rawAccess(lock, true, DepFree)   // *(lock) = key
@@ -521,9 +525,7 @@ func (m *Machine) freeAOS(p Ptr) error {
 	// bndclr: clear the bounds; failure means double free, a forged
 	// pointer, or free() of an address that was never signed.
 	way, found := table.Clear(pacv, va)
-	if m.tel != nil && found {
-		m.tel.hbtClears.Add(1)
-	}
+	m.countClear(found)
 	homeWay := int8(way)
 	var excErr error
 	if !found || !p.Signed() {

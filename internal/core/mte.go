@@ -16,10 +16,13 @@ import (
 // The tag lives in pointer bits [59:56] (the ARM top-byte position),
 // well clear of the PAC field ([63:48], unused here — MTE never signs)
 // and the address bits the simulator masks with pa.VAMask, so
-// composeOffset and Ptr.VA work unchanged. Tags are stored in a shadow
-// region off kernel.ShadowBase at MTE's architectural density (4 bits
-// per 16-byte granule, i.e. one byte of tag storage per 32 data bytes);
-// the stg drains model the tag-memory write traffic.
+// composeOffset and Ptr.VA work unchanged. The timing model sees tags in
+// a shadow region off kernel.ShadowBase at MTE's architectural density
+// (4 bits per 16-byte granule, one byte of tag storage per 32 data
+// bytes): the stg drains model the tag-memory write traffic. The
+// functional tags live densely in a private mem.Memory, one byte per
+// granule at the granule's index (va>>4), so they are page-shaped and a
+// checkpoint shares them copy-on-write like the address space.
 //
 // What the model honestly does not catch: an overflow that stays inside
 // the allocation's last, rounding-padded granule, and — in real MTE —
@@ -64,7 +67,7 @@ func (m *Machine) mteNextTag() uint8 {
 
 // mteMemTag returns the current memory tag of the granule holding va
 // (0 for never-tagged memory: headers, globals, stack, freed granules).
-func (m *Machine) mteMemTag(va uint64) uint8 { return m.mteTags[va>>mteGranuleShift] }
+func (m *Machine) mteMemTag(va uint64) uint8 { return m.mteTags.ReadU8(va >> mteGranuleShift) }
 
 // mteTagAlloc performs MTE's allocation-side instrumentation: irg picks
 // the tag, one stg per granule writes it, and the returned pointer
@@ -75,7 +78,7 @@ func (m *Machine) mteTagAlloc(va, size uint64) (Ptr, error) {
 	m.emit(isa.Inst{Op: isa.OpIRG, Dest: d, Src1: m.lastLoad, Src2: isa.RegNone})
 	for g, n := uint64(0), mteGranules(size); g < n; g++ {
 		gva := va + g*instrument.TagGranule
-		m.mteTags[gva>>mteGranuleShift] = tag
+		m.mteTags.WriteU8(gva>>mteGranuleShift, tag)
 		m.emit(isa.Inst{Op: isa.OpSTG, Addr: mteTagAddr(gva), Size: instrument.TagGranule,
 			Dest: isa.RegNone, Src1: d, Src2: isa.RegNone})
 	}
@@ -102,7 +105,7 @@ func (m *Machine) freeMTE(p Ptr) error {
 	if wasLive {
 		for g, n := uint64(0), mteGranules(size); g < n; g++ {
 			gva := va + g*instrument.TagGranule
-			delete(m.mteTags, gva>>mteGranuleShift)
+			m.mteTags.WriteU8(gva>>mteGranuleShift, 0)
 			m.emit(isa.Inst{Op: isa.OpSTG, Addr: mteTagAddr(gva), Size: instrument.TagGranule,
 				Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone})
 		}

@@ -78,9 +78,7 @@ func (m *Machine) reallocAOS(p Ptr, size uint64) (Ptr, error) {
 	table := m.OS.Table()
 
 	way, found := table.Clear(pacv, va)
-	if m.tel != nil && found {
-		m.tel.hbtClears.Add(1)
-	}
+	m.countClear(found)
 	homeWay := int8(way)
 	var excErr error
 	if !found || !p.Signed() {
@@ -152,7 +150,7 @@ func (m *Machine) reallocMTE(p Ptr, size uint64) (Ptr, error) {
 	// extent — irg + stg per granule, as on malloc.
 	for g, n := uint64(0), mteGranules(oldSize); g < n; g++ {
 		gva := va + g*instrument.TagGranule
-		delete(m.mteTags, gva>>mteGranuleShift)
+		m.mteTags.WriteU8(gva>>mteGranuleShift, 0)
 		m.emit(isa.Inst{Op: isa.OpSTG, Addr: mteTagAddr(gva), Size: instrument.TagGranule,
 			Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone})
 	}

@@ -35,10 +35,11 @@ type MachineState struct {
 	wdLockCursor uint64
 	wdFreeLocks  []uint64
 	wdLockOf     map[uint64]uint64
-	wdKeyOf      map[uint64]uint64
 
-	mteTags map[uint64]uint8
+	mteTags *mem.State
 	mteNext uint8
+
+	hbtInserts, hbtClears, hbtMigrated uint64
 }
 
 // Snapshot deep-copies the machine's simulated state. Any batched
@@ -62,31 +63,28 @@ func (m *Machine) Snapshot() *MachineState {
 		wdLockCursor: m.wdLockCursor,
 		wdFreeLocks:  append([]uint64(nil), m.wdFreeLocks...),
 		mteNext:      m.mteNext,
+		hbtInserts:   m.hbtInserts,
+		hbtClears:    m.hbtClears,
+		hbtMigrated:  m.hbtMigrated,
 	}
 	if m.wdLockOf != nil {
 		s.wdLockOf = make(map[uint64]uint64, len(m.wdLockOf))
 		for k, v := range m.wdLockOf { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
 			s.wdLockOf[k] = v
 		}
-		s.wdKeyOf = make(map[uint64]uint64, len(m.wdKeyOf))
-		for k, v := range m.wdKeyOf { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-			s.wdKeyOf[k] = v
-		}
 	}
 	if m.mteTags != nil {
-		s.mteTags = make(map[uint64]uint8, len(m.mteTags))
-		for k, v := range m.mteTags { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-			s.mteTags[k] = v
-		}
+		s.mteTags = m.mteTags.Snapshot()
 	}
 	return s
 }
 
 // Restore rewinds the machine's simulated state to a snapshot taken from a
 // machine with the same configuration, keeping the target's runtime wiring
-// (sink, batching, telemetry, PA unit). Any batched instructions on the
-// target are discarded — they belong to the timeline being abandoned. The
-// snapshot stays valid for further Restores, including concurrent ones on
+// (sink, batching, telemetry, PA unit); attached telemetry probes then
+// read the restored state. Any batched instructions on the target are
+// discarded — they belong to the timeline being abandoned. The snapshot
+// stays valid for further Restores, including concurrent ones on
 // different machines.
 func (m *Machine) Restore(s *MachineState) error {
 	if m.Scheme != s.scheme {
@@ -109,24 +107,19 @@ func (m *Machine) Restore(s *MachineState) error {
 	m.wdLockCursor = s.wdLockCursor
 	m.wdFreeLocks = append(m.wdFreeLocks[:0:0], s.wdFreeLocks...)
 	m.wdLockOf = nil
-	m.wdKeyOf = nil
 	if s.wdLockOf != nil {
 		m.wdLockOf = make(map[uint64]uint64, len(s.wdLockOf))
 		for k, v := range s.wdLockOf { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
 			m.wdLockOf[k] = v
 		}
-		m.wdKeyOf = make(map[uint64]uint64, len(s.wdKeyOf))
-		for k, v := range s.wdKeyOf { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-			m.wdKeyOf[k] = v
-		}
 	}
 	m.mteNext = s.mteNext
-	m.mteTags = nil
 	if s.mteTags != nil {
-		m.mteTags = make(map[uint64]uint8, len(s.mteTags))
-		for k, v := range s.mteTags { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-			m.mteTags[k] = v
-		}
+		m.mteTags.Restore(s.mteTags)
+	}
+	m.hbtInserts, m.hbtClears, m.hbtMigrated = s.hbtInserts, s.hbtClears, s.hbtMigrated
+	if m.tel != nil {
+		m.telRefresh()
 	}
 	return nil
 }

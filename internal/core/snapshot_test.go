@@ -148,8 +148,8 @@ func TestMachineSnapshotComplete(t *testing.T) {
 		"counts": true, "pc": true, "codeSize": true, "sp": true,
 		"nextReg": true, "lastALU": true, "lastLoad": true,
 		"wdNextKey": true, "wdLockCursor": true, "wdFreeLocks": true,
-		"wdLockOf": true, "wdKeyOf": true,
-		"mteTags": true, "mteNext": true,
+		"wdLockOf": true, "mteTags": true, "mteNext": true,
+		"hbtInserts": true, "hbtClears": true, "hbtMigrated": true,
 	}
 	operational := map[string]bool{
 		// PAUnit is stateless (fixed QARMA keys); sink/batch/tel are the

@@ -20,9 +20,9 @@ type machineProbes struct {
 }
 
 // AttachTelemetry registers the machine's probes in the timeline's
-// registry and seeds the gauges. Attach once, before running a
-// workload; nil machine telemetry (the default) costs a single nil
-// check at each update site.
+// registry and seeds the gauges and counters. Attach once, before
+// running a workload; nil machine telemetry (the default) costs a
+// single nil check at each update site.
 func (m *Machine) AttachTelemetry(tl *telemetry.Timeline) {
 	r := tl.Registry()
 	m.tel = &machineProbes{
@@ -38,7 +38,9 @@ func (m *Machine) AttachTelemetry(tl *telemetry.Timeline) {
 	m.telRefresh()
 }
 
-// telRefresh re-reads the gauge levels. Call sites guard on m.tel.
+// telRefresh re-reads the gauge levels and brings each counter up to the
+// machine's event total, which only a Restore moves ahead of it. Call
+// sites guard on m.tel.
 func (m *Machine) telRefresh() {
 	t := m.OS.Table()
 	m.tel.hbtAssoc.Set(uint64(t.Assoc()))
@@ -47,4 +49,25 @@ func (m *Machine) telRefresh() {
 	hs := m.Heap.Stats()
 	m.tel.heapLive.Set(hs.Live)
 	m.tel.heapBytes.Set(hs.BytesIn)
+	catchUp(m.tel.hbtInserts, m.hbtInserts)
+	catchUp(m.tel.hbtClears, m.hbtClears)
+	catchUp(m.tel.hbtMigrated, m.hbtMigrated)
+}
+
+// catchUp advances c to total; a counter never runs backwards.
+func catchUp(c *telemetry.Counter, total uint64) {
+	if n := c.Load(); total > n {
+		c.Add(total - n)
+	}
+}
+
+// countClear counts a bndclr that found its bounds.
+func (m *Machine) countClear(found bool) {
+	if !found {
+		return
+	}
+	m.hbtClears++
+	if m.tel != nil {
+		m.tel.hbtClears.Add(1)
+	}
 }

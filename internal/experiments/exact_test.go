@@ -50,16 +50,12 @@ func runFullDetail(c Cell) (Summary, error) {
 // in full detail, under every registered scheme, on the benchmarks with
 // the heaviest set-up (omnetpp's mallocs, soplex's prefault) and on lbm.
 // milc at 1,000 instructions warms up for fewer than one U segment, so its
-// set-up stays detailed. lbm/MTE is left out: its set-up spends seconds in
-// the MTE tag map.
+// set-up stays detailed.
 func TestExactSetupFastForwardMatchesDetail(t *testing.T) {
 	var cells []Cell
 	for _, b := range []string{"omnetpp", "soplex", "lbm"} {
 		p := profile(t, b)
 		for _, s := range instrument.AllSchemes() {
-			if b == "lbm" && s == instrument.MTE {
-				continue
-			}
 			for _, seed := range []int64{1, 3} {
 				cells = append(cells, Cell{Profile: p, Scheme: s, Seed: seed, Instructions: 8_000})
 			}

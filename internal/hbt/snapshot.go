@@ -1,35 +1,28 @@
 package hbt
 
-// State is a deep copy of a Table's bookkeeping, taken by Snapshot. The
-// architectural bounds storage itself lives in simulated memory and is
-// checkpointed by mem.Memory.Snapshot; this State carries the geometry and
-// the write-through mirror so a restored table agrees with the restored
-// address space without rescanning it.
+// State is a copy of a Table's bookkeeping, taken by Snapshot: geometry
+// and the live count. The entries themselves live only in simulated memory
+// and are checkpointed, page by page and copy-on-write, by
+// mem.Memory.Snapshot, so a State is the same size however full the table.
 type State struct {
 	base      uint64
 	assoc     int
 	logA      uint
 	slots     int
 	entrySize uint64
-	mirror    map[uint16][]uint64
 	live      int
 }
 
-// Snapshot deep-copies the table bookkeeping.
+// Snapshot copies the table bookkeeping.
 func (t *Table) Snapshot() *State {
-	s := &State{
+	return &State{
 		base:      t.base,
 		assoc:     t.assoc,
 		logA:      t.logA,
 		slots:     t.slots,
 		entrySize: t.entrySize,
-		mirror:    make(map[uint16][]uint64, len(t.mirror)),
 		live:      t.live,
 	}
-	for row, ents := range t.mirror { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-		s.mirror[row] = append([]uint64(nil), ents...)
-	}
-	return s
 }
 
 // Restore rewinds the table to a snapshot. The backing memory must be
@@ -41,9 +34,5 @@ func (t *Table) Restore(s *State) {
 	t.logA = s.logA
 	t.slots = s.slots
 	t.entrySize = s.entrySize
-	t.mirror = make(map[uint16][]uint64, len(s.mirror))
-	for row, ents := range s.mirror { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-		t.mirror[row] = append([]uint64(nil), ents...)
-	}
 	t.live = s.live
 }

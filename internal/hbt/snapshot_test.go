@@ -57,13 +57,32 @@ func TestTableSnapshotRestoreDeterminism(t *testing.T) {
 	if b.Live() != liveAfter {
 		t.Fatalf("live count diverged: %d vs %d", b.Live(), liveAfter)
 	}
-	// Snapshot survived the continuations: two fresh restores agree.
-	c, _ := NewTable(mem.New(), 0x4000_0000, 2)
-	d, _ := NewTable(mem.New(), 0x4000_0000, 2)
+	// The snapshots survived b's continuation: a second restore replays
+	// the same way.
+	m3 := mem.New()
+	m3.Restore(ms)
+	c, _ := NewTable(m3, 0x4000_0000, 2)
 	c.Restore(ts)
-	d.Restore(ts)
-	if c.live != d.live || !reflect.DeepEqual(c.mirror, d.mirror) {
+	if got := replay(c); !reflect.DeepEqual(got, want) || c.Live() != liveAfter {
 		t.Fatal("snapshot mutated by a restored table's continuation")
+	}
+}
+
+// TestTableSnapshotAllocsFlat: the entries live only in simulated memory,
+// so checkpointing a full table allocates its bookkeeping and nothing per
+// row.
+func TestTableSnapshotAllocsFlat(t *testing.T) {
+	tb := newTestTable(t, 1)
+	for i := 0; i < 30_000; i++ {
+		if _, err := tb.Insert(uint16(i), 0x2000_0000_0000+uint64(i)*64, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { tb.Restore(tb.Snapshot()) }); allocs > 1 {
+		t.Errorf("Snapshot+Restore of a 30,000-row table: %v allocations, want at most 1", allocs)
+	}
+	if tb.Live() != 30_000 {
+		t.Fatalf("live = %d after restore, want 30000", tb.Live())
 	}
 }
 
@@ -72,7 +91,7 @@ func TestTableSnapshotRestoreDeterminism(t *testing.T) {
 func TestTableSnapshotComplete(t *testing.T) {
 	covered := map[string]bool{
 		"base": true, "assoc": true, "logA": true, "slots": true,
-		"entrySize": true, "mirror": true, "live": true,
+		"entrySize": true, "live": true,
 	}
 	operational := map[string]bool{
 		// mem is the runtime wiring to the simulated address space; the

@@ -1,9 +1,9 @@
 package hbt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"aos/internal/mem"
 	"aos/internal/pa"
@@ -23,7 +23,9 @@ const (
 
 // Table is a hashed bounds table instance at a fixed base and associativity.
 // Resizing allocates a fresh Table (see Migration); a Table itself never
-// moves.
+// moves. Its entries live only in simulated memory, which checkpoints share
+// copy-on-write; an operation reads the PAC's row through one page lookup
+// (the base is page-aligned and a row is at most one page).
 type Table struct {
 	mem   *mem.Memory
 	base  uint64
@@ -33,12 +35,6 @@ type Table struct {
 	// 8-byte compression, 4 for the uncompressed-16-byte ablation (Fig 15).
 	slots     int
 	entrySize uint64
-
-	// mirror caches each touched row's entries ([way*slots+slot] = word) so
-	// the hot functional paths avoid simulated-memory page lookups. The
-	// architectural copy in mem is always written through and remains the
-	// source of truth for migration and for tests that inspect memory.
-	mirror map[uint16][]uint64
 
 	// live counts stored entries (for tests and occupancy stats).
 	live int
@@ -59,8 +55,8 @@ func NewTableEntrySize(m *mem.Memory, base uint64, assoc int, entryBytes int) (*
 	if assoc < 1 || assoc > MaxAssoc || assoc&(assoc-1) != 0 {
 		return nil, fmt.Errorf("hbt: invalid associativity %d", assoc)
 	}
-	if base%WayBytes != 0 {
-		return nil, fmt.Errorf("hbt: base %#x not 64-byte aligned", base)
+	if base%mem.PageSize != 0 {
+		return nil, fmt.Errorf("hbt: base %#x not page-aligned", base)
 	}
 	if entryBytes != 8 && entryBytes != 16 {
 		return nil, fmt.Errorf("hbt: unsupported entry size %d", entryBytes)
@@ -72,7 +68,6 @@ func NewTableEntrySize(m *mem.Memory, base uint64, assoc int, entryBytes int) (*
 		logA:      uint(bits.TrailingZeros(uint(assoc))),
 		slots:     WayBytes / entryBytes,
 		entrySize: uint64(entryBytes),
-		mirror:    make(map[uint16][]uint64),
 	}, nil
 }
 
@@ -113,19 +108,20 @@ func (t *Table) slotAddr(pac uint16, w, slot int) uint64 {
 	return t.WayAddr(pac, w) + uint64(slot)*t.entrySize
 }
 
-// row returns the mirror row for pac, creating it on first touch.
-func (t *Table) row(pac uint16) []uint64 {
-	r := t.mirror[pac]
-	if r == nil {
-		r = make([]uint64, t.assoc*t.slots)
-		t.mirror[pac] = r
-	}
-	return r
+// row returns pac's row as a read-only view of its page (nil when the page
+// was never written, so every entry reads as zero), and the address of its
+// first slot. See mem.Memory.View for the view's lifetime.
+func (t *Table) row(pac uint16) ([]byte, uint64) {
+	a := t.RowAddr(pac)
+	return t.mem.View(a, uint64(t.assoc)*WayBytes), a
 }
 
-func (t *Table) setSlot(pac uint16, w, slot int, v uint64) {
-	t.row(pac)[w*t.slots+slot] = v
-	t.mem.WriteU64(t.slotAddr(pac, w, slot), v)
+// entry decodes the entry in slot i of a row view (way i/slots).
+func (t *Table) entry(row []byte, i int) uint64 {
+	if row == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(row[uint64(i)*t.entrySize:])
 }
 
 // Insert stores compressed bounds for a chunk [low, low+size) under pac.
@@ -138,10 +134,10 @@ func (t *Table) Insert(pac uint16, low, size uint64) (way int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	row := t.row(pac)
-	for i, cur := range row {
-		if cur == 0 {
-			t.setSlot(pac, i/t.slots, i%t.slots, w)
+	row, a := t.row(pac)
+	for i := 0; i < t.assoc*t.slots; i++ {
+		if t.entry(row, i) == 0 {
+			t.mem.WriteU64(a+uint64(i)*t.entrySize, w)
 			t.live++
 			return i / t.slots, nil
 		}
@@ -157,26 +153,20 @@ var ErrTableFull = fmt.Errorf("hbt: row full; table resize required")
 // way are checked in parallel by the hardware). found=false after scanning
 // all ways is a bounds-checking failure.
 func (t *Table) Lookup(pac uint16, addr uint64) (way int, found bool) {
-	row := t.mirror[pac]
-	for i, cur := range row {
-		if Covers(cur, addr) {
-			return i / t.slots, true
-		}
-	}
-	return 0, false
+	return t.LookupFrom(pac, addr, 0)
 }
 
 // LookupFrom behaves like Lookup but starts the scan at a given way (the
 // BWB hint path). It wraps to cover all ways.
 func (t *Table) LookupFrom(pac uint16, addr uint64, start int) (way int, found bool) {
-	row := t.mirror[pac]
+	row, _ := t.row(pac)
 	if row == nil {
 		return 0, false
 	}
 	for i := 0; i < t.assoc; i++ {
-		wi := (start + i) % t.assoc
+		wi := (start + i) & (t.assoc - 1)
 		for s := 0; s < t.slots; s++ {
-			if Covers(row[wi*t.slots+s], addr) {
+			if Covers(t.entry(row, wi*t.slots+s), addr) {
 				return wi, true
 			}
 		}
@@ -188,10 +178,10 @@ func (t *Table) LookupFrom(pac uint16, addr uint64, start int) (way int, found b
 // found=false is a bounds-clear failure: double free or free() of an
 // invalid address.
 func (t *Table) Clear(pac uint16, base uint64) (way int, found bool) {
-	row := t.mirror[pac]
-	for i, cur := range row {
-		if MatchesBase(cur, base) {
-			t.setSlot(pac, i/t.slots, i%t.slots, 0)
+	row, a := t.row(pac)
+	for i := 0; row != nil && i < t.assoc*t.slots; i++ {
+		if MatchesBase(t.entry(row, i), base) {
+			t.mem.WriteU64(a+uint64(i)*t.entrySize, 0)
 			t.live--
 			return i / t.slots, true
 		}
@@ -248,24 +238,23 @@ func (t *Table) FindBase(pac uint16, w int, base uint64) (slot int, ok bool) {
 // WriteSlot stores a compressed entry (or zero, for bndclr) into one slot,
 // keeping the live count consistent.
 func (t *Table) WriteSlot(pac uint16, w, slot int, v uint64) {
-	old := t.row(pac)[w*t.slots+slot]
+	a := t.slotAddr(pac, w, slot)
+	old := t.mem.ReadU64(a)
 	if old == 0 && v != 0 {
 		t.live++
 	} else if old != 0 && v == 0 {
 		t.live--
 	}
-	t.setSlot(pac, w, slot, v)
+	t.mem.WriteU64(a, v)
 }
 
-// RowOccupancy returns the number of live entries in a row (for stats and
-// tests).
+// RowOccupancy returns the number of live entries in a row.
 func (t *Table) RowOccupancy(pac uint16) int {
+	row, _ := t.row(pac)
 	n := 0
-	for wi := 0; wi < t.assoc; wi++ {
-		for s := 0; s < t.slots; s++ {
-			if t.mem.ReadU64(t.slotAddr(pac, wi, s)) != 0 {
-				n++
-			}
+	for i := 0; row != nil && i < t.assoc*t.slots; i++ {
+		if t.entry(row, i) != 0 {
+			n++
 		}
 	}
 	return n
@@ -310,38 +299,23 @@ func (mi *Migration) Step(n int) uint64 {
 	// The hardware migrator reads every row in the window, so the traffic
 	// charge is per row regardless of occupancy.
 	traffic := uint64(end-mi.RowPtr) * 2 * sz
-	// A row with no mirror entry was never written through setSlot, and
-	// table regions are never reused (the kernel bumps a fresh base per
-	// generation), so both its old-row and new-row bytes are untouched
-	// zeros: copying and clearing them are architectural no-ops. Only the
-	// occupied rows — the mirror's keys — need moving, in sorted order so a
-	// window migrates identically however it is stepped.
-	rows := make([]uint16, 0, len(mi.Old.mirror))
-	//aoslint:allow mapiter — keys are filtered into a slice and sorted below
-	for pac := range mi.Old.mirror {
-		if uint32(pac) >= mi.RowPtr && uint32(pac) < end {
-			rows = append(rows, pac)
+	// Table regions are never reused (the kernel bumps a fresh base per
+	// generation), so the new rows are zeros, and an old row that holds no
+	// entry — on a page never written, or all zero — needs no move. Only
+	// the window's present pages are walked, in address (= PAC) order.
+	for pac := mi.RowPtr; pac < end; pac++ {
+		row, src := mi.Old.row(uint16(pac))
+		if row == nil {
+			// Skip to the last row on this absent page.
+			pac += uint32((mem.PageSize-src%mem.PageSize)/sz) - 1
+			continue
 		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	for _, pac := range rows {
-		oldRow := mi.Old.mirror[pac]
-		src := mi.Old.RowAddr(pac)
-		dst := mi.New.RowAddr(pac)
-		mi.Old.mem.Copy(dst, src, sz)
-		// Move the mirror row and recount live entries transferred.
-		moved := 0
-		newRow := mi.New.row(pac)
-		copy(newRow, oldRow)
-		for _, v := range oldRow {
-			if v != 0 {
-				moved++
-			}
+		if moved := mi.Old.RowOccupancy(uint16(pac)); moved > 0 {
+			mi.Old.mem.Copy(mi.New.RowAddr(uint16(pac)), src, sz)
+			mi.Old.mem.Zero(src, sz)
+			mi.New.live += moved
+			mi.Old.live -= moved
 		}
-		delete(mi.Old.mirror, pac)
-		mi.New.live += moved
-		mi.Old.live -= moved
-		mi.Old.mem.Zero(src, sz)
 	}
 	mi.RowPtr = end
 	return traffic

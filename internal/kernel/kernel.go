@@ -116,9 +116,7 @@ func (o *OS) allocTable(assoc int) (*hbt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.nextHBT += t.SizeBytes()
-	// Round the cursor up to keep future tables line-aligned and disjoint.
-	o.nextHBT = (o.nextHBT + hbt.WayBytes - 1) &^ uint64(hbt.WayBytes-1)
+	o.nextHBT += t.SizeBytes() // whole 4 MiB units: bases stay page-aligned
 	return t, nil
 }
 

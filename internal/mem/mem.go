@@ -85,6 +85,19 @@ func (m *Memory) PagesTouched() uint64 { return m.pagesTouched }
 // FootprintBytes returns the touched footprint in bytes.
 func (m *Memory) FootprintBytes() uint64 { return m.pagesTouched * PageSize }
 
+// View returns the n bytes at addr (within one page) as a read-only window
+// onto the backing page, or nil when the page was never written. The page
+// may be shared with a snapshot, and a write to it leaves the window stale:
+// write through WriteU64 and friends, then take a new view.
+func (m *Memory) View(addr, n uint64) []byte {
+	p := m.page(addr, false)
+	if p == nil {
+		return nil
+	}
+	off := addr & offMask
+	return p[off : off+n : off+n]
+}
+
 // ReadU8 reads one byte; untouched memory reads as zero.
 func (m *Memory) ReadU8(addr uint64) byte {
 	if p := m.page(addr, false); p != nil {

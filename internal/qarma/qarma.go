@@ -76,24 +76,35 @@ func invertPerm(p [16]int) [16]int {
 	return inv
 }
 
-func invertSbox(s [16]uint64) [16]uint64 {
-	var inv [16]uint64
-	for i, v := range s {
-		inv[v] = uint64(i)
-	}
-	return inv
+// sboxTables is one S-box and its inverse, cell-wide and byte-wide (a
+// byte-wide table applies the S-box to both cells of a byte).
+type sboxTables struct {
+	cell, cellInv [16]uint64
+	sb, sbInv     [256]uint8
 }
+
+// sboxTabs holds each S-box's tables, built once at init and shared by
+// every Cipher that uses it.
+var sboxTabs = func() (t [len(sboxes)]sboxTables) {
+	for i := range t {
+		for v, x := range sboxes[i] {
+			t[i].cell[v], t[i].cellInv[x] = x, uint64(v)
+		}
+		for b := range t[i].sb {
+			t[i].sb[b] = uint8(subCells(uint64(b), &t[i].cell))
+			t[i].sbInv[b] = uint8(subCells(uint64(b), &t[i].cellInv))
+		}
+	}
+	return t
+}()
 
 // Cipher is a QARMA-64 instance bound to an S-box choice, a round count and
 // a 128-bit key (w0 || k0). A Cipher is immutable and safe for concurrent
 // use.
 type Cipher struct {
-	sbox    [16]uint64
-	sboxInv [16]uint64
-	// sb and sbInv apply the S-box and its inverse to both cells of a byte.
-	sb, sbInv [256]uint8
-	rounds    int
-	w0, k0    uint64
+	s      *sboxTables
+	rounds int
+	w0, k0 uint64
 	// reflKey is the reflector's key k1 (= k0) moved through the
 	// reflector's final shuffle: τ⁻¹(k1).
 	reflKey uint64
@@ -108,19 +119,13 @@ func New(s Sbox, rounds int, w0, k0 uint64) (*Cipher, error) {
 	if rounds < 1 || rounds > len(roundConstants) {
 		return nil, fmt.Errorf("qarma: rounds must be in [1,%d], got %d", len(roundConstants), rounds)
 	}
-	q := &Cipher{
-		sbox:    sboxes[s],
-		sboxInv: invertSbox(sboxes[s]),
+	return &Cipher{
+		s:       &sboxTabs[s],
 		rounds:  rounds,
 		w0:      w0,
 		k0:      k0,
 		reflKey: permuteCells(k0, &tauInv),
-	}
-	for b := range q.sb {
-		q.sb[b] = uint8(q.subCells(uint64(b)))
-		q.sbInv[b] = uint8(q.subCellsInv(uint64(b)))
-	}
-	return q, nil
+	}, nil
 }
 
 // MustNew is New but panics on invalid parameters; for use with constants.
@@ -171,18 +176,11 @@ func mixColumns(x uint64) uint64 {
 	return out
 }
 
-func (q *Cipher) subCells(x uint64) uint64 {
+// subCells applies the cell S-box s to every cell of x.
+func subCells(x uint64, s *[16]uint64) uint64 {
 	var out uint64
 	for i := 0; i < 16; i++ {
-		out |= q.sbox[cell(x, i)] << (60 - 4*i)
-	}
-	return out
-}
-
-func (q *Cipher) subCellsInv(x uint64) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		out |= q.sboxInv[cell(x, i)] << (60 - 4*i)
+		out |= s[cell(x, i)] << (60 - 4*i)
 	}
 	return out
 }
@@ -234,12 +232,12 @@ func (q *Cipher) forwardRound(is, tk uint64, full bool) uint64 {
 		is = permuteCells(is, &tau)
 		is = mixColumns(is)
 	}
-	return q.subCells(is)
+	return subCells(is, &q.s.cell)
 }
 
 // backwardRound is the inverse of forwardRound.
 func (q *Cipher) backwardRound(is, tk uint64, full bool) uint64 {
-	is = q.subCellsInv(is)
+	is = subCells(is, &q.s.cellInv)
 	if full {
 		is = mixColumns(is)
 		is = permuteCells(is, &tauInv)
@@ -317,19 +315,19 @@ func (q *Cipher) Encrypt(plaintext, tweak uint64) uint64 {
 	}
 
 	// The first forward round is short: no shuffle, no MixColumns.
-	is := subBytes(plaintext^q.w0^q.k0^tweaks[0]^roundConstants[0], &q.sb)
+	is := subBytes(plaintext^q.w0^q.k0^tweaks[0]^roundConstants[0], &q.s.sb)
 	for i := 1; i < q.rounds; i++ {
-		is = subBytes(linear(fwdMix, is^q.k0^tweaks[i]^roundConstants[i]), &q.sb)
+		is = subBytes(linear(fwdMix, is^q.k0^tweaks[i]^roundConstants[i]), &q.s.sb)
 	}
 
-	is = subBytes(linear(fwdMix, is^w1^t), &q.sb)
+	is = subBytes(linear(fwdMix, is^w1^t), &q.s.sb)
 	is = linear(reflMix, is) ^ q.reflKey
-	is = linear(bwdMix, subBytes(is, &q.sbInv)) ^ q.w0 ^ t
+	is = linear(bwdMix, subBytes(is, &q.s.sbInv)) ^ q.w0 ^ t
 
 	for i := q.rounds - 1; i > 0; i-- {
-		is = linear(bwdMix, subBytes(is, &q.sbInv)) ^ q.k0 ^ tweaks[i] ^ roundConstants[i] ^ alpha
+		is = linear(bwdMix, subBytes(is, &q.s.sbInv)) ^ q.k0 ^ tweaks[i] ^ roundConstants[i] ^ alpha
 	}
-	is = subBytes(is, &q.sbInv) ^ q.k0 ^ tweaks[0] ^ roundConstants[0] ^ alpha
+	is = subBytes(is, &q.s.sbInv) ^ q.k0 ^ tweaks[0] ^ roundConstants[0] ^ alpha
 	return is ^ w1
 }
 

@@ -39,8 +39,9 @@ func (k KeySpec) Hash() string {
 }
 
 // Checkpoint is a complete simulation state at one window boundary: the
-// functional machine (kernel, HBT, heap, memory pages — memory is
-// copy-on-write, so checkpoints share untouched pages), the timing core
+// functional machine (kernel, heap, and the memory pages that also hold
+// the HBT rows and MTE tags — memory is copy-on-write, so checkpoints
+// share untouched pages), the timing core
 // (caches, predictor, BWB, queues, clocks, stats), and the workload's loop
 // position (PRNG, live chunks, cursors). All three are immutable deep
 // copies; any number of cells may restore from the same checkpoint.
