@@ -54,6 +54,9 @@ func runAttack(className string, scheme aos.Scheme, seed uint64, tracePath strin
 	// The program evaded -scheme: shrink it to the 1-minimal evasion.
 	verdict := chosen.Verdict
 	min := attack.Minimize(p, func(q *attack.Program) bool {
+		if q.Validate() != nil {
+			return false
+		}
 		r, err := attack.Run(q, scheme)
 		return err == nil && r.Verdict == verdict
 	})

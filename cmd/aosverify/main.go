@@ -18,8 +18,8 @@ import (
 	"strings"
 
 	"aos"
+	"aos/internal/attack"
 	"aos/internal/protoverify"
-	"aos/internal/trace"
 	"aos/internal/tracecheck"
 )
 
@@ -32,7 +32,6 @@ func main() {
 	ceOut := flag.String("ce", "", "write the minimized counterexample stream to this trace file (replay with aossim -replay)")
 	mutantName := flag.String("mutant", "", "seed a named defect into the instrumentation stream (see -list-mutants)")
 	listMutants := flag.Bool("list-mutants", false, "list the seedable defects")
-	maxPrograms := flag.Uint64("max-programs", 0, "cap the enumeration (0 = exhaustive; a capped run skips dead-rule accounting)")
 	flag.Parse()
 
 	if *listMutants {
@@ -50,7 +49,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := protoverify.Options{K: *k, MaxPrograms: *maxPrograms}
+	opts := protoverify.Options{K: *k}
 	if *mutantName != "" {
 		mu, ok := protoverify.MutantByName(*mutantName)
 		if !ok {
@@ -92,7 +91,7 @@ func main() {
 		}
 	}
 	if *ceOut != "" {
-		if err := writeCounterexample(*ceOut, reports); err != nil {
+		if err := writeCounterexample(*ceOut, reports, opts.Mutate); err != nil {
 			fatal(err)
 		}
 	}
@@ -119,8 +118,6 @@ func printReport(rep *protoverify.Report, cover bool) {
 		status = "COUNTEREXAMPLE"
 	case len(rep.Dead) > 0:
 		status = "DEAD RULES"
-	case rep.Truncated:
-		status = "TRUNCATED"
 	}
 	fmt.Printf("%-14s k=%d programs=%d events=%d insts=%d rules=%d/%d %s\n",
 		rep.Scheme, rep.K, rep.Programs, rep.Events, rep.Insts,
@@ -154,10 +151,12 @@ func expectedRule(rep *protoverify.Report, id string) bool {
 
 func printCounterexample(rep *protoverify.Report) {
 	ce := rep.CE
-	fmt.Printf("  counterexample (minimized %d -> %d events, %d insts):\n",
-		ce.OriginalLen, len(ce.Events), len(ce.Trace))
-	for i, ev := range ce.Events {
-		fmt.Printf("    %d. %-12s %s\n", i+1, ev, ev.Doc())
+	fmt.Printf("  counterexample (minimized %d -> %d steps, %d insts):\n",
+		ce.OriginalLen, len(ce.Steps), ce.Insts)
+	for _, line := range strings.SplitAfter(attack.StepListing(ce.Steps), "\n") {
+		if line != "" {
+			fmt.Print("    " + line)
+		}
 	}
 	fmt.Println("  violations:")
 	seen := map[string]bool{}
@@ -191,40 +190,39 @@ func wrap(s string, width int, indent string) string {
 	return b.String()
 }
 
-// jsonReport is the coverage-artifact shape: scheme and events by name,
-// the instruction-level trace elided (the -ce flag exports it losslessly).
+// jsonReport is the coverage-artifact shape: scheme and counterexample
+// steps by name, the instruction-level trace elided (the -ce flag exports
+// it losslessly).
 type jsonReport struct {
-	Scheme    string            `json:"scheme"`
-	K         int               `json:"k"`
-	Programs  uint64            `json:"programs"`
-	Events    uint64            `json:"events"`
-	Insts     uint64            `json:"insts"`
-	Coverage  map[string]uint64 `json:"coverage"`
-	Expected  []string          `json:"expected"`
-	Dead      []string          `json:"dead,omitempty"`
-	Truncated bool              `json:"truncated,omitempty"`
-	OK        bool              `json:"ok"`
-	CE        []string          `json:"counterexample,omitempty"`
+	Scheme   string            `json:"scheme"`
+	K        int               `json:"k"`
+	Programs uint64            `json:"programs"`
+	Events   uint64            `json:"events"`
+	Insts    uint64            `json:"insts"`
+	Coverage map[string]uint64 `json:"coverage"`
+	Expected []string          `json:"expected"`
+	Dead     []string          `json:"dead,omitempty"`
+	OK       bool              `json:"ok"`
+	CE       []string          `json:"counterexample,omitempty"`
 }
 
 func writeJSON(path string, reports []*protoverify.Report) error {
 	out := make([]jsonReport, 0, len(reports))
 	for _, rep := range reports {
 		jr := jsonReport{
-			Scheme:    rep.Scheme.String(),
-			K:         rep.K,
-			Programs:  rep.Programs,
-			Events:    rep.Events,
-			Insts:     rep.Insts,
-			Coverage:  rep.Coverage,
-			Expected:  rep.Expected,
-			Dead:      rep.Dead,
-			Truncated: rep.Truncated,
-			OK:        rep.OK(),
+			Scheme:   rep.Scheme.String(),
+			K:        rep.K,
+			Programs: rep.Programs,
+			Events:   rep.Events,
+			Insts:    rep.Insts,
+			Coverage: rep.Coverage,
+			Expected: rep.Expected,
+			Dead:     rep.Dead,
+			OK:       rep.OK(),
 		}
 		if rep.CE != nil {
-			for _, ev := range rep.CE.Events {
-				jr.CE = append(jr.CE, ev.String())
+			for _, st := range rep.CE.Steps {
+				jr.CE = append(jr.CE, st.Kind.String())
 			}
 		}
 		out = append(out, jr)
@@ -239,7 +237,7 @@ func writeJSON(path string, reports []*protoverify.Report) error {
 // writeCounterexample records the first counterexample's judged stream as
 // a binary trace; `aossim -replay <file> -scheme <scheme>` reproduces the
 // violation in the full timing simulator.
-func writeCounterexample(path string, reports []*protoverify.Report) error {
+func writeCounterexample(path string, reports []*protoverify.Report, mutate protoverify.MutateFunc) error {
 	for _, rep := range reports {
 		if rep.CE == nil {
 			continue
@@ -248,13 +246,7 @@ func writeCounterexample(path string, reports []*protoverify.Report) error {
 		if err != nil {
 			return err
 		}
-		tw, err := trace.NewWriter(f)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		tw.EmitBatch(rep.CE.Trace)
-		if err := tw.Close(); err != nil {
+		if err := protoverify.WriteTrace(f, rep.Scheme, rep.CE.Steps, mutate); err != nil {
 			f.Close()
 			return err
 		}
@@ -262,7 +254,7 @@ func writeCounterexample(path string, reports []*protoverify.Report) error {
 			return err
 		}
 		fmt.Printf("counterexample stream (%d insts, scheme %s) written to %s\n",
-			tw.Count(), rep.Scheme, path)
+			rep.CE.Insts, rep.Scheme, path)
 		return nil
 	}
 	fmt.Println("no counterexample found; nothing written to", path)

@@ -34,10 +34,31 @@ func TestGenerateValid(t *testing.T) {
 	}
 }
 
+// runChecked grades p under every scheme with the scheme's tracecheck
+// contract teed into each run: a harness failure or any contract
+// violation fails the test, so every attack stream is protocol-checked.
+func runChecked(t *testing.T, p *Program) []Result {
+	t.Helper()
+	var results []Result
+	for _, s := range instrument.AllSchemes() {
+		chk := tracecheck.New(s)
+		r, _, err := runSink(p, s, chk)
+		if err != nil {
+			t.Fatalf("harness failure under %v: %v\n%s", s, err, p.Listing())
+		}
+		if vs := chk.Finish(); len(vs) > 0 {
+			t.Fatalf("%v stream violates the contract: %v\n%s", s, vs[0], p.Listing())
+		}
+		results = append(results, r)
+	}
+	return results
+}
+
 // TestDetectionMatrixModel is the harness's core soundness property: over
 // a broad sample, no run under any scheme ever contradicts the documented
 // model (a MISSED deterministic detection or a PHANTOM detection where
-// the model promises none), and no benign step ever errors.
+// the model promises none), no benign step ever errors, and every
+// emitted stream meets the scheme's tracecheck contract.
 func TestDetectionMatrixModel(t *testing.T) {
 	for _, class := range security.Classes() {
 		for i := 0; i < 60; i++ {
@@ -45,11 +66,7 @@ func TestDetectionMatrixModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v program %d: %v", class, i, err)
 			}
-			results, err := RunAll(p)
-			if err != nil {
-				t.Fatalf("%v program %d: harness failure: %v\n%s", class, i, err, p.Listing())
-			}
-			for _, r := range results {
+			for _, r := range runChecked(t, p) {
 				if r.Verdict.Violation() {
 					t.Errorf("%v program %d under %v: %v (expected %v, err=%v)\n%s",
 						class, i, r.Scheme, r.Verdict, r.Expected, r.Err, p.Listing())
@@ -185,15 +202,27 @@ func findOutcome(t *testing.T, class security.Class, s instrument.Scheme, want V
 	return nil
 }
 
+// keepVerdict is an attack minimization's predicate: the candidate is
+// still a well-formed attack (exactly one attack step) and still grades v
+// under s.
+func keepVerdict(s instrument.Scheme, v Verdict) func(*Program) bool {
+	return func(q *Program) bool {
+		if q.Validate() != nil {
+			return false
+		}
+		r, err := Run(q, s)
+		return err == nil && r.Verdict == v
+	}
+}
+
 // TestMinimize: an escaped program minimizes to a smaller program that
-// still validates and still escapes, and minimization never deletes the
-// attack step.
+// still validates and still escapes, and the minimization keeps the
+// attack step. A golden pins the minimized listing of every bypass and
+// escape among the seed-1 golden programs, so a change in deletion order
+// shows.
 func TestMinimize(t *testing.T) {
 	p := findOutcome(t, security.UAFWrite, instrument.Baseline, VerdictEscaped)
-	escapes := func(q *Program) bool {
-		r, err := Run(q, instrument.Baseline)
-		return err == nil && r.Verdict == VerdictEscaped
-	}
+	escapes := keepVerdict(instrument.Baseline, VerdictEscaped)
 	min := Minimize(p, escapes)
 	if err := min.Validate(); err != nil {
 		t.Fatalf("minimized program invalid: %v\n%s", err, min.Listing())
@@ -208,6 +237,39 @@ func TestMinimize(t *testing.T) {
 	if len(min.Steps) != 3 {
 		t.Errorf("UAF under Baseline should minimize to 3 steps, got %d:\n%s",
 			len(min.Steps), min.Listing())
+	}
+
+	var b strings.Builder
+	for _, class := range security.Classes() {
+		for i := 0; i < 3; i++ {
+			p, err := Generate(class, MixSeed(1, class, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range instrument.AllSchemes() {
+				r, err := Run(p, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Verdict == VerdictBypassed || r.Verdict == VerdictEscaped {
+					min := Minimize(p, keepVerdict(s, r.Verdict))
+					fmt.Fprintf(&b, "%v under %v:\n%s\n", r.Verdict, s, min.Listing())
+				}
+			}
+		}
+	}
+	golden := filepath.Join("testdata", "minimized_seed1.txt")
+	if os.Getenv("AOS_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with AOS_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("seed-1 minimized listings drifted from golden %s", golden)
 	}
 }
 
@@ -258,9 +320,10 @@ func TestEscapeTraceReplays(t *testing.T) {
 
 // FuzzAttackPrograms: arbitrary (class, seed) pairs must generate valid
 // programs whose runs never crash the simulator, never err on benign
-// steps, and never contradict a deterministic model promise — in
-// particular AOS can never miss a linear overflow. Escapes must minimize
-// to a program that still validates.
+// steps, never emit a stream the scheme's contract rejects, and never
+// contradict a deterministic model promise — in particular AOS can never
+// miss a linear overflow. Escapes must minimize to a program that still
+// validates.
 func FuzzAttackPrograms(f *testing.F) {
 	f.Add(uint8(0), uint64(1))
 	f.Add(uint8(2), uint64(42))
@@ -275,11 +338,7 @@ func FuzzAttackPrograms(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("invalid program: %v", err)
 		}
-		results, err := RunAll(p)
-		if err != nil {
-			t.Fatalf("harness failure: %v\n%s", err, p.Listing())
-		}
-		for _, r := range results {
+		for _, r := range runChecked(t, p) {
 			if r.Verdict.Violation() {
 				t.Fatalf("model violation under %v: %v (expected %v)\n%s",
 					r.Scheme, r.Verdict, r.Expected, p.Listing())
@@ -289,13 +348,9 @@ func FuzzAttackPrograms(f *testing.F) {
 				t.Fatalf("AOS missed a linear overflow\n%s", p.Listing())
 			}
 			if r.Verdict == VerdictEscaped || r.Verdict == VerdictBypassed {
-				s := r.Scheme
-				min := Minimize(p, func(q *Program) bool {
-					rr, err := Run(q, s)
-					return err == nil && rr.Verdict == r.Verdict
-				})
+				min := Minimize(p, keepVerdict(r.Scheme, r.Verdict))
 				if err := min.Validate(); err != nil {
-					t.Fatalf("minimized escape invalid under %v: %v", s, err)
+					t.Fatalf("minimized escape invalid under %v: %v", r.Scheme, err)
 				}
 			}
 		}

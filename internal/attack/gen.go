@@ -72,12 +72,7 @@ func Programs(class security.Class, seed uint64, n int) ([]*Program, error) {
 
 // alloc appends an allocation and returns its slot.
 func alloc(p *Program, size uint64) int {
-	slot := 0
-	for _, st := range p.Steps {
-		if st.Kind == KAlloc {
-			slot++
-		}
-	}
+	slot := slotsBefore(p.Steps, len(p.Steps))
 	p.Steps = append(p.Steps, Step{Kind: KAlloc, Slot: slot, Size: size})
 	return slot
 }

@@ -1,20 +1,15 @@
-// Package attack is a HardsHeap-style adversarial harness for the heap
-// protection schemes: a seedable, property-based generator of well-formed
-// heap-attack programs (alloc/free/access sequences with exactly one
-// marked violation), a driver that renders each program through the real
-// per-scheme instrumentation into a core.Machine run, and a scorer that
-// grades the outcome against internal/security's documented detection
-// model — detected, probabilistically bypassed, or silently escaped. The
-// paper's own §VII scenarios (Scenarios) are fixed programs of the same
-// grammar, graded the same way.
-//
-// The representation deliberately mirrors internal/protoverify's event
-// grammar, but where protoverify enumerates every abstract program to a
-// small depth to prove the instrumentation CONTRACT, this package samples
-// deep randomized programs to measure DETECTION: which concrete attack
-// variants each scheme catches, and whether the model's deterministic
-// promises hold on every sampled member (a miss is a harness failure, not
-// a statistic).
+// Package attack is the repo's one heap-program model and a
+// HardsHeap-style adversarial harness built on it: a seedable,
+// property-based generator of well-formed heap-attack programs
+// (alloc/free/access sequences with exactly one marked violation), an
+// executor that renders any step program through the real per-scheme
+// instrumentation into a core.Machine run, a greedy minimizer, and a
+// scorer that grades an attack's outcome against internal/security's
+// documented detection model — detected, probabilistically bypassed, or
+// silently escaped. The paper's own §VII scenarios (Scenarios) are fixed
+// programs of the same grammar, graded the same way, and
+// internal/protoverify renders each enumerated event program to these
+// steps and runs it on the same executor and minimizer.
 package attack
 
 import (
@@ -57,6 +52,17 @@ const (
 	KCraftFake
 	// KFakeFree frees the crafted pointer Addr+16.
 	KFakeFree
+	// KRealloc reallocs Slot's pointer to Size bytes. The result takes
+	// the next slot; when realloc errs, that slot keeps the old pointer.
+	// Either way Slot's pointer is retired.
+	KRealloc
+	// KCall enters a function frame (under RAS: a pacia/autia pair).
+	KCall
+	// KRet leaves the innermost frame.
+	KRet
+	// KHBTResize forces an HBT associativity doubling by filling the
+	// home row of a predicted allocation (signing schemes only).
+	KHBTResize
 )
 
 // String names the kind for listings.
@@ -82,6 +88,14 @@ func (k Kind) String() string {
 		return "craft-fake"
 	case KFakeFree:
 		return "fake-free"
+	case KRealloc:
+		return "realloc"
+	case KCall:
+		return "call"
+	case KRet:
+		return "ret"
+	case KHBTResize:
+		return "hbt-resize"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -90,9 +104,10 @@ func (k Kind) String() string {
 // Step is one event of an attack program.
 type Step struct {
 	Kind Kind
-	// Slot indexes the program's allocations in KAlloc order.
+	// Slot indexes the program's pointers in the order KAlloc and
+	// KRealloc steps produce them.
 	Slot int
-	// Size is the allocation size (KAlloc) or crafted chunk size
+	// Size is the allocation or realloc size, or the crafted chunk size
 	// (KCraftFake).
 	Size uint64
 	// Off is the access offset, free delta, or scribble offset.
@@ -120,31 +135,55 @@ type Program struct {
 	Steps []Step
 }
 
-// Validate checks structural well-formedness: slots allocate in order,
-// benign accesses stay in bounds of live slots, and exactly one step is
-// marked as the attack. The same predicate guards minimization — a
-// deletion that breaks it is rejected, so every minimized program is
-// still a legal program of its class.
-func (p *Program) Validate() error { return validate(p.Steps) }
+// Validate checks that the program is a well-formed attack: it meets the
+// structural predicate (validate) and exactly one step is marked as the
+// attack. Attack minimizations keep it in their predicate, so every
+// minimized program is still a legal program of its class.
+func (p *Program) Validate() error {
+	if err := validate(p.Steps); err != nil {
+		return err
+	}
+	attacks := 0
+	for _, st := range p.Steps {
+		if st.Attack {
+			attacks++
+		}
+	}
+	if attacks != 1 {
+		return fmt.Errorf("program has %d attack steps, want exactly 1", attacks)
+	}
+	return nil
+}
 
+// validate is the structural predicate every step program meets: slots
+// are produced in order and used only once produced, each step's
+// liveness and bounds match its attack mark, and no ret leaves the
+// outermost frame. Minimize re-checks it on every deletion, so a shrink
+// can never turn a marked violation into a legal operation.
 func validate(steps []Step) error {
 	type slotState struct {
 		size uint64
 		live bool
 	}
 	var slots []slotState
-	attacks := 0
 	crafted := false
+	depth := 0
 	for i, st := range steps {
 		switch st.Kind {
-		case KAlloc:
-			if st.Slot != len(slots) {
+		case KAlloc, KRealloc:
+			if st.Kind == KAlloc && st.Slot != len(slots) {
 				return fmt.Errorf("step %d: alloc into slot %d, expected %d", i, st.Slot, len(slots))
+			}
+			if st.Kind == KRealloc {
+				if st.Slot >= len(slots) || !slots[st.Slot].live || st.Attack {
+					return fmt.Errorf("step %d: realloc needs a live slot and no attack mark", i)
+				}
+				slots[st.Slot].live = false
 			}
 			// 8 KiB admits the §VII dangling-pointer scenario's chunk;
 			// the generator draws nothing above 120 bytes.
 			if st.Size == 0 || st.Size > 8192 {
-				return fmt.Errorf("step %d: alloc size %d out of the harness range", i, st.Size)
+				return fmt.Errorf("step %d: %v size %d out of the harness range", i, st.Kind, st.Size)
 			}
 			slots = append(slots, slotState{size: st.Size, live: true})
 		case KFree:
@@ -202,15 +241,21 @@ func validate(steps []Step) error {
 			if !crafted || !st.Attack {
 				return fmt.Errorf("step %d: fake-free needs a crafted chunk and the attack mark", i)
 			}
+		case KCall, KRet, KHBTResize:
+			if st.Attack {
+				return fmt.Errorf("step %d: %v cannot carry the attack mark", i, st.Kind)
+			}
+			if st.Kind == KCall {
+				depth++
+			} else if st.Kind == KRet {
+				if depth == 0 {
+					return fmt.Errorf("step %d: ret with no open frame", i)
+				}
+				depth--
+			}
 		default:
 			return fmt.Errorf("step %d: unknown kind %v", i, st.Kind)
 		}
-		if st.Attack {
-			attacks++
-		}
-	}
-	if attacks != 1 {
-		return fmt.Errorf("program has %d attack steps, want exactly 1", attacks)
 	}
 	return nil
 }
@@ -219,24 +264,37 @@ func validate(steps []Step) error {
 // The bytes are pinned by the golden test: they are part of the harness's
 // reproducibility contract (same seed, same listing, any worker count).
 func (p *Program) Listing() string {
+	return fmt.Sprintf("attack %s seed=%d steps=%d\n", p.Class, p.Seed, len(p.Steps)) +
+		StepListing(p.Steps)
+}
+
+// StepListing renders one line per step: a mark ("!" attack, "?" check),
+// the step's index and what it does.
+func StepListing(steps []Step) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "attack %s seed=%d steps=%d\n", p.Class, p.Seed, len(p.Steps))
-	for i, st := range p.Steps {
+	next := 0 // the slot the next alloc or realloc produces
+	for i, st := range steps {
 		mark := " "
 		if st.Attack {
 			mark = "!"
 		} else if st.Check {
 			mark = "?"
 		}
-		fmt.Fprintf(&b, "%s %2d  %s\n", mark, i, st.describe())
+		fmt.Fprintf(&b, "%s %2d  %s\n", mark, i, st.describe(next))
+		if producesSlot(st.Kind) {
+			next++
+		}
 	}
 	return b.String()
 }
 
-func (st Step) describe() string {
+// describe renders the step; next is the slot a realloc's result takes.
+func (st Step) describe(next int) string {
 	switch st.Kind {
 	case KAlloc:
 		return fmt.Sprintf("p%d = malloc(%d)", st.Slot, st.Size)
+	case KRealloc:
+		return fmt.Sprintf("p%d = realloc(p%d, %d)", next, st.Slot, st.Size)
 	case KFree:
 		return fmt.Sprintf("free(p%d)", st.Slot)
 	case KLoad:
@@ -256,6 +314,8 @@ func (st Step) describe() string {
 		return fmt.Sprintf("craft fake chunk @ %#x size %#x", st.Addr, st.Size)
 	case KFakeFree:
 		return fmt.Sprintf("free(%#x) (crafted)", st.Addr+16)
+	case KHBTResize:
+		return "force an HBT resize"
 	default:
 		return st.Kind.String()
 	}

@@ -15,11 +15,16 @@
 // exercised", which is what makes adding a registry backend statically
 // checkable at go test time with no simulated workload.
 //
-// When a program is rejected, the failing event sequence is shrunk to a
-// local minimum (greedy event deletion, re-validated against the event
-// grammar) and re-run to capture the exact instruction stream the checker
-// saw, which callers can write as a replayable aossim -replay trace.
+// The events are an enumeration grammar only: each event renders to
+// canonical steps of internal/attack's heap-program model, and programs
+// run on that package's executor. When a program is rejected, its steps
+// are shrunk by the same package's minimizer — any deletion the shared
+// structural predicate allows, kept while the contract still rejects the
+// program — and re-run to record the exact instruction stream the checker
+// saw as a replayable aossim -replay trace.
 package protoverify
+
+import "aos/internal/attack"
 
 // Event is one symbolic step of a heap-event program. The alphabet is
 // deliberately small-scope: one canonical representative per protocol
@@ -81,28 +86,6 @@ func (e Event) String() string {
 	return "event?"
 }
 
-// eventDocs explain each event in counterexample listings.
-var eventDocs = [numEvents]string{
-	EvAlloc:       "malloc(48): new live allocation",
-	EvFree:        "free() of the newest live allocation (pointer kept dangling)",
-	EvFreeStale:   "free() through the newest dangling pointer (double free)",
-	EvRealloc:     "realloc() of the newest live allocation to a larger size",
-	EvAccess:      "in-bounds load+store through the newest live allocation",
-	EvAccessOOB:   "load 1 MiB past the newest live allocation (out of bounds)",
-	EvAccessFreed: "load through the newest dangling pointer (use-after-free)",
-	EvCall:        "function call (frame push; pacia under RAS)",
-	EvRet:         "function return (frame pop; autia under RAS)",
-	EvResize:      "force an HBT resize by filling a predicted allocation's home row",
-}
-
-// Doc returns the one-line explanation of the event.
-func (e Event) Doc() string {
-	if int(e) < len(eventDocs) {
-		return eventDocs[e]
-	}
-	return ""
-}
-
 // Small-scope bounds on the abstract program state. Two live slots, two
 // dangling slots and two frames are enough to express every pairwise
 // protocol interleaving (alloc-over-alloc, free-under-call, stale-vs-live
@@ -116,9 +99,9 @@ const (
 	maxResizes = 5
 )
 
-// absState is the machine-independent abstraction of the driver state the
-// event grammar is gated on. It must stay exact with respect to driver
-// bookkeeping — enabledness decides the enumeration tree, and the driver
+// absState is the machine-independent abstraction of the program state the
+// event grammar is gated on. It must stay exact with respect to render's
+// slot bookkeeping — enabledness decides the enumeration tree, and render
 // replays the same bookkeeping — so every transition below is defined
 // without reference to heap layout (e.g. EvRealloc always retires the old
 // pointer to the dangling set, whether or not the chunk moved).
@@ -176,17 +159,61 @@ func apply(s absState, ev Event) absState {
 	return s
 }
 
-// validSequence reports whether a (possibly shrunk) event sequence is
-// well-formed under the grammar: every event enabled in the state its
-// prefix produces. The minimizer uses it so counterexamples stay
-// replayable programs, not just op soups.
-func validSequence(events []Event, signing bool) bool {
-	var s absState
+// Canonical event payloads. allocSize and reallocSize are protocol-
+// irrelevant except that reallocSize must exceed allocSize (growth is the
+// interesting realloc direction: it may move the chunk).
+const (
+	allocSize   = 48
+	reallocSize = 96
+	oobOffset   = 1 << 20
+)
+
+// render appends the canonical steps of an event program to steps. It
+// replays apply's bookkeeping over concrete slots: live and freed are
+// stacks of slot indices, newest last, and every event addresses the
+// newest slot of its kind. Events that violate memory safety render to
+// attack-marked steps, so the program meets the shared structural
+// predicate the minimizer keeps.
+func render(events []Event, steps []attack.Step) []attack.Step {
+	var liveBuf [maxLive]int
+	var freedBuf [maxFreed]int
+	live, freed := liveBuf[:0], freedBuf[:0]
+	slots := 0
 	for _, ev := range events {
-		if !enabled(s, signing, ev) {
-			return false
+		switch ev {
+		case EvAlloc:
+			steps = append(steps, attack.Step{Kind: attack.KAlloc, Slot: slots, Size: allocSize})
+			live = append(live, slots)
+			slots++
+		case EvFree:
+			s := live[len(live)-1]
+			live = live[:len(live)-1]
+			freed = append(freed, s)
+			steps = append(steps, attack.Step{Kind: attack.KFree, Slot: s})
+		case EvFreeStale:
+			steps = append(steps, attack.Step{Kind: attack.KFree, Slot: freed[len(freed)-1], Attack: true})
+		case EvRealloc:
+			s := live[len(live)-1]
+			live[len(live)-1] = slots
+			slots++
+			freed = append(freed, s)
+			steps = append(steps, attack.Step{Kind: attack.KRealloc, Slot: s, Size: reallocSize})
+		case EvAccess:
+			s := live[len(live)-1]
+			steps = append(steps,
+				attack.Step{Kind: attack.KLoad, Slot: s, Off: 8},
+				attack.Step{Kind: attack.KStore, Slot: s, Off: 16})
+		case EvAccessOOB:
+			steps = append(steps, attack.Step{Kind: attack.KLoad, Slot: live[len(live)-1], Off: oobOffset, Attack: true})
+		case EvAccessFreed:
+			steps = append(steps, attack.Step{Kind: attack.KLoad, Slot: freed[len(freed)-1], Attack: true})
+		case EvCall:
+			steps = append(steps, attack.Step{Kind: attack.KCall})
+		case EvRet:
+			steps = append(steps, attack.Step{Kind: attack.KRet})
+		case EvResize:
+			steps = append(steps, attack.Step{Kind: attack.KHBTResize})
 		}
-		s = apply(s, ev)
 	}
-	return true
+	return steps
 }

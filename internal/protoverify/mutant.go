@@ -86,12 +86,6 @@ func (s filterSink) Emit(in *isa.Inst) {
 	}
 }
 
-func (s filterSink) EmitBatch(batch []isa.Inst) {
-	for i := range batch {
-		s.Emit(&batch[i])
-	}
-}
-
 type mapSink struct {
 	next isa.Sink
 	f    func(isa.Inst) isa.Inst
@@ -100,12 +94,6 @@ type mapSink struct {
 func (s mapSink) Emit(in *isa.Inst) {
 	out := s.f(*in)
 	s.next.Emit(&out)
-}
-
-func (s mapSink) EmitBatch(batch []isa.Inst) {
-	for i := range batch {
-		s.Emit(&batch[i])
-	}
 }
 
 type dupSink struct {
@@ -118,11 +106,5 @@ func (s dupSink) Emit(in *isa.Inst) {
 	if s.dup(in) {
 		cp := *in
 		s.next.Emit(&cp)
-	}
-}
-
-func (s dupSink) EmitBatch(batch []isa.Inst) {
-	for i := range batch {
-		s.Emit(&batch[i])
 	}
 }

@@ -2,9 +2,14 @@ package protoverify
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"aos/internal/attack"
 	"aos/internal/instrument"
 	"aos/internal/trace"
 	"aos/internal/tracecheck"
@@ -17,7 +22,8 @@ const testK = 4
 // TestVerifyAllSchemes is the acceptance gate: every registered scheme's
 // rewriter must emit contract-clean streams for every bounded program at
 // the full default depth, and every expected contract rule must be
-// exercised (no dead rules).
+// exercised (no dead rules). A golden per scheme pins the enumeration's
+// counts and per-rule coverage.
 func TestVerifyAllSchemes(t *testing.T) {
 	for _, s := range instrument.AllSchemes() {
 		s := s
@@ -31,8 +37,8 @@ func TestVerifyAllSchemes(t *testing.T) {
 				t.Fatalf("Verify(%s) enumerated no programs", s)
 			}
 			if rep.CE != nil {
-				t.Fatalf("Verify(%s) found a counterexample %v: %v",
-					s, rep.CE.Events, rep.CE.Violations)
+				t.Fatalf("Verify(%s) found a counterexample:\n%s%v",
+					s, attack.StepListing(rep.CE.Steps), rep.CE.Violations)
 			}
 			if len(rep.Dead) != 0 {
 				t.Fatalf("Verify(%s): dead rules %v (coverage %v)", s, rep.Dead, rep.Coverage)
@@ -40,6 +46,7 @@ func TestVerifyAllSchemes(t *testing.T) {
 			if !rep.OK() {
 				t.Fatalf("Verify(%s): report not OK: %+v", s, rep)
 			}
+			checkGolden(t, "k6_"+s.String()+".txt", reportDigest(rep))
 			// Rules outside the scheme's expectation must stay silent: a
 			// baseline stream exercising TC02 would mean the rewriter leaks
 			// signing ops into unsigned schemes.
@@ -59,7 +66,7 @@ func TestVerifyAllSchemes(t *testing.T) {
 
 // TestMutantsCaught seeds each registered defect into the AOS rewriter's
 // output and asserts the contract rejects some bounded program, with the
-// counterexample shrunk to at most two events.
+// counterexample shrunk to at most two steps.
 func TestMutantsCaught(t *testing.T) {
 	for _, mu := range Mutants() {
 		mu := mu
@@ -75,12 +82,12 @@ func TestMutantsCaught(t *testing.T) {
 			if len(rep.CE.Violations) == 0 {
 				t.Fatalf("mutant %s: counterexample with no violations", mu.Name)
 			}
-			if len(rep.CE.Events) > 2 {
-				t.Errorf("mutant %s: counterexample %v not minimal (len %d > 2)",
-					mu.Name, rep.CE.Events, len(rep.CE.Events))
+			if len(rep.CE.Steps) > 2 {
+				t.Errorf("mutant %s: counterexample not minimal (%d steps > 2):\n%s",
+					mu.Name, len(rep.CE.Steps), attack.StepListing(rep.CE.Steps))
 			}
-			if len(rep.CE.Trace) == 0 {
-				t.Errorf("mutant %s: counterexample has no captured trace", mu.Name)
+			if rep.CE.Insts == 0 {
+				t.Errorf("mutant %s: counterexample judged no instructions", mu.Name)
 			}
 		})
 	}
@@ -101,9 +108,10 @@ func TestDropXpacmMinimization(t *testing.T) {
 	if rep.CE == nil {
 		t.Fatal("no counterexample")
 	}
-	want := []Event{EvAlloc, EvFree}
-	if !reflect.DeepEqual(rep.CE.Events, want) {
-		t.Fatalf("minimized events = %v, want %v", rep.CE.Events, want)
+	want := []attack.Step{{Kind: attack.KAlloc, Size: allocSize}, {Kind: attack.KFree}}
+	if !reflect.DeepEqual(rep.CE.Steps, want) {
+		t.Fatalf("minimized steps:\n%swant:\n%s",
+			attack.StepListing(rep.CE.Steps), attack.StepListing(want))
 	}
 	if rep.CE.OriginalLen != testK {
 		t.Errorf("OriginalLen = %d, want %d", rep.CE.OriginalLen, testK)
@@ -117,10 +125,11 @@ func TestDropXpacmMinimization(t *testing.T) {
 	}
 }
 
-// TestCounterexampleTraceReplays round-trips a counterexample's captured
-// stream through the binary trace format and a fresh checker: the replayed
-// stream must reproduce the same first violation. This is the property that
-// makes `aosverify -ce out.trace` + `aossim -replay out.trace` agree.
+// TestCounterexampleTraceReplays round-trips a counterexample through its
+// trace and a fresh checker: the replayed stream must hold every judged
+// instruction and reproduce the same first violation. This is the
+// property that makes `aosverify -ce out.trace` + `aossim -replay
+// out.trace` agree.
 func TestCounterexampleTraceReplays(t *testing.T) {
 	mu, _ := MutantByName("drop-xpacm")
 	rep, err := Verify(instrument.AOS, Options{K: testK, Mutate: mu.Wrap})
@@ -132,12 +141,7 @@ func TestCounterexampleTraceReplays(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.EmitBatch(rep.CE.Trace)
-	if err := w.Close(); err != nil {
+	if err := WriteTrace(&buf, instrument.AOS, rep.CE.Steps, mu.Wrap); err != nil {
 		t.Fatal(err)
 	}
 	r, err := trace.NewReader(&buf)
@@ -145,7 +149,9 @@ func TestCounterexampleTraceReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk := tracecheck.New(instrument.AOS)
-	trace.Replay(r, chk)
+	if n := trace.Replay(r, chk); n != rep.CE.Insts {
+		t.Fatalf("replayed %d insts, counterexample judged %d", n, rep.CE.Insts)
+	}
 	chk.Finish()
 	got := chk.Violations()
 	if len(got) == 0 {
@@ -193,16 +199,15 @@ func TestDeterminism(t *testing.T) {
 // TestForcedResize pins the single-event resize program: it must run clean
 // and exercise the TC08 geometry rule (associativity transition observed).
 func TestForcedResize(t *testing.T) {
-	res, err := CheckProgram(instrument.AOS, []Event{EvResize}, nil)
+	chk, _, err := check(instrument.AOS, render([]Event{EvResize}, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("resize program violated the contract: %v", res.Violations)
+	if vs := chk.Violations(); len(vs) != 0 {
+		t.Fatalf("resize program violated the contract: %v", vs)
 	}
-	if res.Coverage[tracecheck.RuleAssoc] == 0 {
-		t.Fatalf("resize program did not exercise %s: %v",
-			tracecheck.RuleAssoc, res.Coverage)
+	if cov := chk.Coverage(); cov[tracecheck.RuleAssoc] == 0 {
+		t.Fatalf("resize program did not exercise %s: %v", tracecheck.RuleAssoc, cov)
 	}
 }
 
@@ -220,27 +225,6 @@ func TestVerifyAllOrder(t *testing.T) {
 		if rep.Scheme != schemes[i] {
 			t.Errorf("reports[%d].Scheme = %s, want %s", i, rep.Scheme, schemes[i])
 		}
-	}
-}
-
-// TestMaxPrograms pins truncation semantics: the cap stops the walk, marks
-// the report, and suppresses dead-rule accounting.
-func TestMaxPrograms(t *testing.T) {
-	rep, err := Verify(instrument.AOS, Options{K: testK, MaxPrograms: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Truncated {
-		t.Fatal("MaxPrograms=3 did not truncate")
-	}
-	if rep.Programs != 3 {
-		t.Fatalf("Programs = %d, want 3", rep.Programs)
-	}
-	if rep.OK() {
-		t.Fatal("truncated report must not be OK")
-	}
-	if len(rep.Dead) != 0 {
-		t.Fatalf("truncated report computed dead rules: %v", rep.Dead)
 	}
 }
 
@@ -263,9 +247,50 @@ func TestEventGrammar(t *testing.T) {
 		{[]Event{EvAlloc, EvAlloc, EvAlloc}, true, false}, // live cap
 	}
 	for _, c := range cases {
-		if got := validSequence(c.seq, c.signing); got != c.want {
-			t.Errorf("validSequence(%v, signing=%v) = %v, want %v",
+		var st absState
+		got := true
+		for _, ev := range c.seq {
+			if got = enabled(st, c.signing, ev); !got {
+				break
+			}
+			st = apply(st, ev)
+		}
+		if got != c.want {
+			t.Errorf("grammar accepts %v (signing=%v) = %v, want %v",
 				c.seq, c.signing, got, c.want)
 		}
+	}
+}
+
+// reportDigest renders what a verification golden pins: the enumeration's
+// counts and every rule's coverage.
+func reportDigest(rep *Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "programs=%d events=%d insts=%d\n", rep.Programs, rep.Events, rep.Insts)
+	for _, id := range tracecheck.RuleIDs() {
+		fmt.Fprintf(&b, "%s %d\n", id, rep.Coverage[id])
+	}
+	return b.String()
+}
+
+// checkGolden compares got with testdata/name. Regenerate with
+// AOS_UPDATE_GOLDEN=1 only when an output change is intended.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if os.Getenv("AOS_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with AOS_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from its golden:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -2,12 +2,15 @@ package protoverify
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"aos/internal/attack"
 	"aos/internal/instrument"
 	"aos/internal/isa"
+	"aos/internal/trace"
 	"aos/internal/tracecheck"
 )
 
@@ -17,6 +20,13 @@ import (
 // access) while staying exhaustively enumerable in CI seconds.
 const DefaultK = 6
 
+// chunkPrograms bounds the verifier's memory: programs stream from the
+// walk in chunks of this many, each checked and folded before the next is
+// drawn. Small chunks also keep the GC near its goal: a chunk's end idles
+// the workers, which lets a pending mark phase finish before they allocate
+// megabytes of fresh machines that the GC would count live.
+const chunkPrograms = 64
+
 // Options parameterizes one verification run.
 type Options struct {
 	// K is the event-program depth bound (DefaultK when zero).
@@ -24,23 +34,20 @@ type Options struct {
 	// Mutate, when non-nil, corrupts the checker-facing stream — used to
 	// seed defects and assert the contract catches them.
 	Mutate MutateFunc
-	// MaxPrograms caps the enumeration (0 = exhaustive). A truncated run
-	// reports Truncated and skips dead-rule accounting.
-	MaxPrograms uint64
 }
 
 // Counterexample is one rejected program, shrunk to a local minimum.
 type Counterexample struct {
-	// Events is the minimized failing program.
-	Events []Event
-	// OriginalLen is the length of the first failing program found.
+	// Steps is the minimized failing program.
+	Steps []attack.Step
+	// OriginalLen is the step count of the first failing program found.
 	OriginalLen int
 	// Violations are the contract violations the minimized program
 	// produces.
 	Violations []tracecheck.Violation
-	// Trace is the exact instruction stream the checker judged (post-
-	// mutation), writable as an aossim -replay trace.
-	Trace []isa.Inst
+	// Insts counts the instructions the checker judged (post-mutation);
+	// WriteTrace records them.
+	Insts uint64
 }
 
 // Report is one scheme's verification outcome.
@@ -61,42 +68,15 @@ type Report struct {
 	// Expected lists the rules the scheme's contract must exercise.
 	Expected []string
 	// Dead lists expected rules whose coverage stayed zero (only
-	// meaningful on an untruncated, counterexample-free run).
+	// meaningful on a counterexample-free run).
 	Dead []string
 	// CE is the minimized counterexample (nil when every program was
 	// accepted).
 	CE *Counterexample
-	// Truncated reports that MaxPrograms stopped the enumeration early.
-	Truncated bool
 }
 
-// OK reports whether the scheme passed: exhaustive enumeration, no
-// counterexample, no dead rules.
-func (r *Report) OK() bool { return r.CE == nil && len(r.Dead) == 0 && !r.Truncated }
-
-// ProgramResult is the outcome of checking one explicit event program.
-type ProgramResult struct {
-	Violations []tracecheck.Violation
-	Coverage   map[string]uint64
-	Insts      uint64
-	Trace      []isa.Inst
-}
-
-// CheckProgram runs a single event program through the scheme's rewriter
-// and contract, capturing the judged stream. The error is a harness
-// failure, never a verdict.
-func CheckProgram(scheme instrument.Scheme, events []Event, mutate MutateFunc) (*ProgramResult, error) {
-	res, err := runProgram(scheme, events, mutate, true)
-	if err != nil {
-		return nil, err
-	}
-	return &ProgramResult{
-		Violations: res.violations,
-		Coverage:   res.coverage,
-		Insts:      res.insts,
-		Trace:      res.trace,
-	}, nil
-}
+// OK reports whether the scheme passed: no counterexample, no dead rules.
+func (r *Report) OK() bool { return r.CE == nil && len(r.Dead) == 0 }
 
 // Verify exhaustively enumerates every event program of exactly depth K
 // for the scheme and checks each against the scheme's contract. Prefix
@@ -104,148 +84,165 @@ func CheckProgram(scheme instrument.Scheme, events []Event, mutate MutateFunc) (
 // program's run also witnesses every prefix up to its Finish obligations,
 // and those are covered by the grammar's other extensions.
 //
-// Programs are independent (each runs on a fresh machine), so the leaves
-// execute on a worker pool; the results are folded back in enumeration
-// order and the fold stops at the first rejected program, which makes the
-// parallel run observably identical to a sequential one — same
-// counterexample, same counts, same coverage.
+// Programs stream from the walk in chunks. Programs are independent (each
+// runs on a fresh machine), so a chunk's programs execute on a worker
+// pool; the results are folded back in enumeration order and the fold
+// stops at the first rejected program, which makes the parallel run
+// observably identical to a sequential one — same counterexample, same
+// counts, same coverage.
 func Verify(scheme instrument.Scheme, opts Options) (*Report, error) {
 	if opts.K <= 0 {
 		opts.K = DefaultK
 	}
-	signing := scheme.SignsDataPointers()
+	k := opts.K
 	rep := &Report{
 		Scheme:   scheme,
-		K:        opts.K,
+		K:        k,
 		Expected: tracecheck.ExpectedRules(scheme),
+		Coverage: make(map[string]uint64, len(tracecheck.RuleIDs())),
 	}
-	progs, truncated := enumeratePrograms(signing, opts.K, opts.MaxPrograms)
-
-	type leaf struct {
-		res runResult
-		err error
-		ran bool
-	}
-	outs := make([]leaf, len(progs))
-	// minFail is the lowest index known to be rejected so far; leaves past
-	// it can be skipped — the fold never reads beyond the final minimum.
-	var minFail atomic.Int64
-	minFail.Store(int64(len(progs)))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workerCount(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				if int64(idx) > minFail.Load() {
-					continue
-				}
-				res, err := runProgram(scheme, progs[idx], opts.Mutate, false)
-				outs[idx] = leaf{res: res, err: err, ran: true}
-				if err != nil || len(res.violations) > 0 {
-					for {
-						cur := minFail.Load()
-						if int64(idx) >= cur || minFail.CompareAndSwap(cur, int64(idx)) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	for idx := range progs {
-		idxCh <- idx
-	}
-	close(idxCh)
-	wg.Wait()
-
-	// Sequential fold: identical to running the programs one by one and
-	// stopping at the first rejection.
-	agg := make(map[string]uint64, len(tracecheck.RuleIDs()))
-	for idx := range outs {
-		out := &outs[idx]
-		if !out.ran {
-			break // only reachable past a failing index
-		}
-		if out.err != nil {
-			return nil, fmt.Errorf("program %v: %w", progs[idx], out.err)
-		}
-		rep.Programs++
-		rep.Events += uint64(len(progs[idx]))
-		rep.Insts += out.res.insts
-		for id, n := range out.res.coverage {
-			agg[id] += n
-		}
-		if len(out.res.violations) > 0 {
-			ce, err := minimize(scheme, signing, progs[idx], opts.Mutate)
-			if err != nil {
-				return nil, err
-			}
-			rep.CE = ce
-			break
-		}
-	}
-	rep.Truncated = truncated && rep.CE == nil
-
-	cov := make(map[string]uint64, len(tracecheck.RuleIDs()))
 	for _, id := range tracecheck.RuleIDs() {
-		cov[id] = agg[id]
+		rep.Coverage[id] = 0
 	}
-	rep.Coverage = cov
-	if rep.CE == nil && !rep.Truncated {
-		for _, id := range rep.Expected {
-			if cov[id] == 0 {
-				rep.Dead = append(rep.Dead, id)
+
+	chunk := make([]Event, 0, chunkPrograms*k)
+	leaves := make([]leaf, chunkPrograms)
+	var failing []Event
+	var err error
+	// fold checks the chunk and folds it in enumeration order; it reports
+	// whether the walk goes on.
+	fold := func() bool {
+		n := len(chunk) / k
+		runChunk(scheme, chunk, k, opts.Mutate, leaves[:n])
+		for i := range leaves[:n] {
+			l, prog := &leaves[i], chunk[i*k:(i+1)*k]
+			if l.err != nil {
+				err = fmt.Errorf("program %v: %w", prog, l.err)
+				return false
 			}
+			rep.Programs++
+			rep.Events += uint64(k)
+			rep.Insts += l.insts
+			for id, n := range l.coverage {
+				rep.Coverage[id] += n
+			}
+			if l.failed {
+				failing = prog
+				return false
+			}
+		}
+		chunk = chunk[:0]
+		return true
+	}
+	enumerate(scheme.SignsDataPointers(), k, func(prog []Event) bool {
+		chunk = append(chunk, prog...)
+		return len(chunk) < cap(chunk) || fold()
+	})
+	if len(chunk) > 0 && failing == nil && err == nil {
+		fold()
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	if failing != nil {
+		if rep.CE, err = minimize(scheme, failing, opts.Mutate); err != nil {
+			return nil, err
+		}
+		return rep, nil
+	}
+	for _, id := range rep.Expected {
+		if rep.Coverage[id] == 0 {
+			rep.Dead = append(rep.Dead, id)
 		}
 	}
 	return rep, nil
 }
 
-// workerCount sizes the leaf pool. Schemes verified concurrently share the
-// scheduler, so this deliberately matches GOMAXPROCS rather than
-// multiplying by it.
-func workerCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
+// leaf is one program's verdict.
+type leaf struct {
+	failed   bool
+	coverage map[string]uint64
+	insts    uint64
+	err      error
 }
 
-// enumeratePrograms materializes every maximal depth-k program of the
-// grammar, in the deterministic declaration order of the event alphabet,
-// optionally capped at max programs.
-func enumeratePrograms(signing bool, k int, max uint64) (progs [][]Event, truncated bool) {
-	buf := make([]Event, 0, k)
-	var walk func(s absState, depth int)
-	walk = func(s absState, depth int) {
-		if truncated {
-			return
-		}
-		if depth == k {
-			if max > 0 && uint64(len(progs)) >= max {
-				truncated = true
-				return
+// runChunk checks the chunk's len(out) programs of k events each on a
+// worker pool, each worker rendering into its own reused step buffer.
+// Schemes verified concurrently share the scheduler, so the pool
+// deliberately matches GOMAXPROCS rather than multiplying by it.
+func runChunk(scheme instrument.Scheme, progs []Event, k int, mutate MutateFunc, out []leaf) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var steps []attack.Step
+			for {
+				idx := int(next.Add(1)) - 1
+				if idx >= len(out) {
+					return
+				}
+				steps = render(progs[idx*k:(idx+1)*k], steps[:0])
+				chk, insts, err := check(scheme, steps, mutate, nil)
+				out[idx] = leaf{err: err}
+				if err == nil {
+					out[idx] = leaf{failed: len(chk.Violations()) > 0, coverage: chk.Coverage(), insts: insts}
+				}
 			}
-			progs = append(progs, append([]Event(nil), buf...))
-			return
+		}()
+	}
+	wg.Wait()
+}
+
+// check runs one step program on a fresh machine into a fresh checker with
+// coverage on, and returns the checker and the machine's instruction
+// count. The mutant, when set, wraps the checker; tee, when set, sees the
+// same judged stream. The error is a harness failure, never a verdict:
+// violations are the checker's.
+func check(scheme instrument.Scheme, steps []attack.Step, mutate MutateFunc, tee isa.Sink) (*tracecheck.Checker, uint64, error) {
+	chk := tracecheck.New(scheme)
+	chk.EnableCoverage()
+	var sink isa.Sink = chk
+	if tee != nil {
+		sink = isa.MultiSink{chk, tee}
+	}
+	if mutate != nil {
+		sink = mutate(sink)
+	}
+	x, err := attack.Execute(scheme, steps, sink)
+	if err != nil {
+		return nil, 0, err
+	}
+	chk.Finish()
+	return chk, x.Insts, nil
+}
+
+// enumerate calls visit with every maximal depth-k program of the grammar,
+// in the declaration order of the event alphabet, until visit returns
+// false. The slice is reused between calls.
+func enumerate(signing bool, k int, visit func([]Event) bool) {
+	buf := make([]Event, 0, k)
+	var walk func(s absState) bool
+	walk = func(s absState) bool {
+		if len(buf) == k {
+			return visit(buf)
 		}
 		for ev := Event(0); ev < numEvents; ev++ {
 			if !enabled(s, signing, ev) {
 				continue
 			}
 			buf = append(buf, ev)
-			walk(apply(s, ev), depth+1)
+			more := walk(apply(s, ev))
 			buf = buf[:len(buf)-1]
-			if truncated {
-				return
+			if !more {
+				return false
 			}
 		}
+		return true
 	}
-	walk(absState{}, 0)
-	return progs, truncated
+	walk(absState{})
 }
 
 // VerifyAll verifies every registered scheme concurrently and returns the
@@ -272,42 +269,41 @@ func VerifyAll(opts Options) ([]*Report, error) {
 	return reports, nil
 }
 
-// minimize shrinks a failing program by greedy event deletion (each
-// candidate re-validated against the grammar, then re-run) and captures
-// the minimized program's judged stream for replay.
-func minimize(scheme instrument.Scheme, signing bool, failing []Event, mutate MutateFunc) (*Counterexample, error) {
-	cur := append([]Event(nil), failing...)
-	for {
-		improved := false
-		for i := 0; i < len(cur); i++ {
-			cand := make([]Event, 0, len(cur)-1)
-			cand = append(cand, cur[:i]...)
-			cand = append(cand, cur[i+1:]...)
-			if !validSequence(cand, signing) {
-				continue
-			}
-			res, err := runProgram(scheme, cand, mutate, false)
-			if err != nil {
-				continue // candidate not executable; keep shrinking elsewhere
-			}
-			if len(res.violations) > 0 {
-				cur = cand
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	final, err := runProgram(scheme, cur, mutate, true)
+// minimize shrinks a failing program with the attack harness's minimizer,
+// keeping each deletion while the contract still rejects the program.
+func minimize(scheme instrument.Scheme, failing []Event, mutate MutateFunc) (*Counterexample, error) {
+	p := &attack.Program{Steps: render(failing, nil)}
+	min := attack.Minimize(p, func(q *attack.Program) bool {
+		chk, _, err := check(scheme, q.Steps, mutate, nil)
+		return err == nil && len(chk.Violations()) > 0
+	})
+	var judged isa.CountSink
+	chk, _, err := check(scheme, min.Steps, mutate, &judged)
 	if err != nil {
 		return nil, fmt.Errorf("protoverify: minimized program no longer executable: %w", err)
 	}
 	return &Counterexample{
-		Events:      cur,
-		OriginalLen: len(failing),
-		Violations:  final.violations,
-		Trace:       final.trace,
+		Steps:       min.Steps,
+		OriginalLen: len(p.Steps),
+		Violations:  chk.Violations(),
+		Insts:       judged.Total,
 	}, nil
+}
+
+// WriteTrace re-renders steps under the scheme, through the mutant that
+// found them (nil for none), into a trace on w: the exact stream the
+// checker judged, replayable with aossim -replay.
+func WriteTrace(w io.Writer, scheme instrument.Scheme, steps []attack.Step, mutate MutateFunc) error {
+	tw, err := trace.NewWriter(w)
+	if err != nil {
+		return err
+	}
+	var sink isa.Sink = tw
+	if mutate != nil {
+		sink = mutate(sink)
+	}
+	if _, err := attack.Execute(scheme, steps, sink); err != nil {
+		return err
+	}
+	return tw.Close()
 }
