@@ -4,37 +4,27 @@ package bpred
 // is a fixed ~25 KiB (bimodal table + 4 tagged banks), so checkpoints copy
 // it outright.
 type State struct {
-	base  []int8
-	banks [numBanks][]tagEntry
-	ghist [4]uint64
-	rng   uint32
-	ticks uint64
-	stats Stats
+	tageState
 }
 
 // Snapshot deep-copies the predictor.
 func (t *TAGE) Snapshot() *State {
-	s := &State{
-		base:  append([]int8(nil), t.base...),
-		ghist: t.ghist,
-		rng:   t.rng,
-		ticks: t.ticks,
-		stats: t.stats,
-	}
+	s := &State{t.tageState}
+	s.base = append([]int8(nil), t.base...)
 	for b := range t.banks {
 		s.banks[b] = append([]tagEntry(nil), t.banks[b]...)
 	}
 	return s
 }
 
-// Restore rewinds the predictor to a snapshot. The snapshot stays valid.
+// Restore rewinds the predictor to a snapshot, copying the tables into its
+// own. The snapshot stays valid.
 func (t *TAGE) Restore(s *State) {
+	base, banks := t.base, t.banks
+	t.tageState = s.tageState
+	t.base, t.banks = base, banks
 	copy(t.base, s.base)
 	for b := range t.banks {
 		copy(t.banks[b], s.banks[b])
 	}
-	t.ghist = s.ghist
-	t.rng = s.rng
-	t.ticks = s.ticks
-	t.stats = s.stats
 }

@@ -1,12 +1,16 @@
 package bpred
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
 
 // TestSnapshotRestoreDeterminism: a predictor restored at branch N must
-// produce the same prediction sequence as the original from N on.
+// start from exactly the original's state at N and produce the same
+// prediction sequence as the original from N on. Snapshots are taken both
+// in training (at branch 1,000, when the continuation still rewrites the
+// tables) and once it has settled.
 func TestSnapshotRestoreDeterminism(t *testing.T) {
 	train := func(p *TAGE, from, to int) []bool {
 		var preds []bool
@@ -17,44 +21,72 @@ func TestSnapshotRestoreDeterminism(t *testing.T) {
 		}
 		return preds
 	}
-	a := NewTAGE()
-	train(a, 0, 10_000)
-	s := a.Snapshot()
-	want := train(a, 10_000, 30_000)
+	for _, at := range []int{10_000, 1_000} {
+		a := NewTAGE()
+		train(a, 0, at)
+		s := a.Snapshot()
+		// fmt renders the tables' contents: a copy of the state that
+		// shares nothing with the predictor or its snapshot.
+		atSnap := fmt.Sprint(a.tageState)
+		want := train(a, at, at+20_000)
 
-	b := NewTAGE()
-	b.Restore(s)
-	got := train(b, 10_000, 30_000)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("restored predictor diverged from straight-line execution")
-	}
-	if a.stats != b.stats {
-		t.Fatalf("stats diverged: %+v vs %+v", a.stats, b.stats)
-	}
-	// The snapshot survived both continuations: two fresh restores agree.
-	c, d := NewTAGE(), NewTAGE()
-	c.Restore(s)
-	d.Restore(s)
-	if !reflect.DeepEqual(c, d) {
-		t.Fatal("snapshot mutated by a restored predictor's continuation")
+		b := NewTAGE()
+		b.Restore(s)
+		if fmt.Sprint(b.tageState) != atSnap {
+			t.Fatalf("at %d: snapshot mutated by the original's continuation", at)
+		}
+		got := train(b, at, at+20_000)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("at %d: restored predictor diverged from straight-line execution", at)
+		}
+		if a.stats != b.stats {
+			t.Fatalf("at %d: stats diverged: %+v vs %+v", at, a.stats, b.stats)
+		}
+		// The snapshot survived both continuations.
+		c := NewTAGE()
+		c.Restore(s)
+		if fmt.Sprint(c.tageState) != atSnap {
+			t.Fatalf("at %d: snapshot mutated by a restored predictor's continuation", at)
+		}
 	}
 }
 
-// TestTAGESnapshotComplete is the reflection guard against fields escaping
-// the snapshot.
+// TestTAGESnapshotComplete is the reflection guard. Every TAGE field is
+// checkpointed, and every tageState field an assignment would share is on
+// the deep-copy list that Snapshot clones and Restore copies into the
+// predictor's own tables.
 func TestTAGESnapshotComplete(t *testing.T) {
-	covered := map[string]bool{
-		"base": true, "banks": true, "ghist": true,
-		"rng": true, "ticks": true, "stats": true,
-	}
 	typ := reflect.TypeOf(TAGE{})
 	for i := 0; i < typ.NumField(); i++ {
-		if !covered[typ.Field(i).Name] {
-			t.Errorf("bpred.TAGE field %q is not covered by Snapshot/Restore; update snapshot.go and this test", typ.Field(i).Name)
+		if name := typ.Field(i).Name; name != "tageState" {
+			t.Errorf("bpred.TAGE field %q is outside tageState, which checkpoints copy; move it there or classify it here", name)
 		}
 	}
-	st := reflect.TypeOf(State{})
-	if st.NumField() != len(covered) {
-		t.Errorf("bpred.State has %d fields, covered set has %d; keep them in sync", st.NumField(), len(covered))
+	deepCopied := map[string]bool{"base": true, "banks": true}
+	st := reflect.TypeOf(tageState{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if shares := sharesStorage(f.Type); shares != deepCopied[f.Name] {
+			t.Errorf("bpred.tageState field %q: shares storage %v, on the deep-copy list %v; update snapshot.go and this test",
+				f.Name, shares, deepCopied[f.Name])
+		}
 	}
+}
+
+// sharesStorage reports whether assigning a value of type t leaves the
+// copy sharing storage with the original.
+func sharesStorage(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return sharesStorage(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if sharesStorage(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

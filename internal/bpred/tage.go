@@ -32,6 +32,12 @@ type tagEntry struct {
 // TAGE is a deterministic TAGE predictor. The zero value is not usable;
 // call NewTAGE.
 type TAGE struct {
+	tageState
+}
+
+// tageState is the predictor's whole state, the one field list that
+// checkpoints capture (see snapshot.go).
+type tageState struct {
 	base  []int8 // bimodal 2-bit counters [-2,1]
 	banks [numBanks][]tagEntry
 
@@ -58,7 +64,7 @@ func (s Stats) Rate() float64 {
 
 // NewTAGE returns a fresh predictor.
 func NewTAGE() *TAGE {
-	t := &TAGE{base: make([]int8, 1<<baseBits), rng: 0xACE1}
+	t := &TAGE{tageState{base: make([]int8, 1<<baseBits), rng: 0xACE1}}
 	for i := range t.banks {
 		t.banks[i] = make([]tagEntry, 1<<bankBits)
 	}

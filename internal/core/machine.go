@@ -89,15 +89,36 @@ type Machine struct {
 	Heap   *heap.Allocator
 	PAUnit *pa.Unit
 	OS     *kernel.OS
-	Scheme instrument.Scheme
 
-	sink   isa.Sink
-	counts isa.Counts
+	sink isa.Sink
 	// batch, when non-nil, buffers emitted instructions so the sink
 	// receives them in EmitBatch-sized chunks (see SetBatch). counts are
 	// still updated per instruction at emit time, so Counts() — and the
 	// warmup boundary derived from it — are independent of batching.
 	batch []isa.Inst
+
+	// machineState is everything a checkpoint captures beyond the address
+	// spaces, allocator and OS (see snapshot.go).
+	machineState
+
+	// mteTags holds the MTE memory tags, one byte per granule at the
+	// granule's index (va>>4) in a private space (see mte.go).
+	mteTags *mem.Memory
+
+	// tel holds the machine-side flight-recorder probes (nil when
+	// telemetry is disabled; see telemetry.go).
+	tel *machineProbes
+}
+
+// machineState is the machine's own simulated state: emission position
+// and counts plus the Watchdog, MTE and bounds-table bookkeeping. It is
+// the one field list checkpoints capture: Snapshot and Restore copy it
+// whole and clone its slice and map.
+type machineState struct {
+	// Scheme is the protection configuration being simulated.
+	Scheme instrument.Scheme
+
+	counts isa.Counts
 
 	pc       uint64
 	codeSize uint64
@@ -113,19 +134,12 @@ type Machine struct {
 	wdFreeLocks  []uint64
 	wdLockOf     map[uint64]uint64 // chunk base VA -> lock address
 
-	// MTE state: memory tags, one byte per granule at the granule's index
-	// (va>>4) in a private space, and the deterministic allocation-tag
-	// cycle (see mte.go).
-	mteTags *mem.Memory
+	// mteNext is MTE's deterministic allocation-tag cycle (see mte.go).
 	mteNext uint8
 
 	// Bounds-table event totals since construction; the telemetry
 	// counters of the same names follow them (see telemetry.go).
 	hbtInserts, hbtClears, hbtMigrated uint64
-
-	// tel holds the machine-side flight-recorder probes (nil when
-	// telemetry is disabled; see telemetry.go).
-	tel *machineProbes
 }
 
 // New builds a machine for the given configuration.
@@ -157,17 +171,19 @@ func New(cfg Config) (*Machine, error) {
 		mteTags = mem.New()
 	}
 	return &Machine{
-		Mem:          m,
-		Heap:         h,
-		mteTags:      mteTags,
-		PAUnit:       pa.NewDefaultUnit(),
-		OS:           os,
-		Scheme:       cfg.Scheme,
-		sink:         isa.NullSink{},
-		codeSize:     cfg.CodeFootprint &^ 3,
-		sp:           kernel.StackTop,
-		wdLockCursor: kernel.ShadowBase,
-		wdLockOf:     make(map[uint64]uint64),
+		Mem:    m,
+		Heap:   h,
+		PAUnit: pa.NewDefaultUnit(),
+		OS:     os,
+		sink:   isa.NullSink{},
+		machineState: machineState{
+			Scheme:       cfg.Scheme,
+			codeSize:     cfg.CodeFootprint &^ 3,
+			sp:           kernel.StackTop,
+			wdLockCursor: kernel.ShadowBase,
+			wdLockOf:     make(map[uint64]uint64),
+		},
+		mteTags: mteTags,
 	}, nil
 }
 

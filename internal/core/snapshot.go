@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"aos/internal/heap"
-	"aos/internal/instrument"
-	"aos/internal/isa"
 	"aos/internal/kernel"
 	"aos/internal/mem"
 )
@@ -17,29 +16,22 @@ import (
 // captured; Restore keeps the target machine's wiring, so a restored
 // machine keeps feeding whatever pipeline it was attached to.
 type MachineState struct {
-	scheme instrument.Scheme
+	machineState
+	mem     *mem.State
+	heap    *heap.State
+	os      *kernel.State
+	mteTags *mem.State // nil unless the scheme tags memory
+}
 
-	mem  *mem.State
-	heap *heap.State
-	os   *kernel.State
-
-	counts   isa.Counts
-	pc       uint64
-	codeSize uint64
-	sp       uint64
-	nextReg  uint8
-	lastALU  uint8
-	lastLoad uint8
-
-	wdNextKey    uint64
-	wdLockCursor uint64
-	wdFreeLocks  []uint64
-	wdLockOf     map[uint64]uint64
-
-	mteTags *mem.State
-	mteNext uint8
-
-	hbtInserts, hbtClears, hbtMigrated uint64
+// clone returns a copy of s that shares no storage with it.
+func (s machineState) clone() machineState {
+	s.wdFreeLocks = append([]uint64(nil), s.wdFreeLocks...)
+	if s.wdLockOf != nil {
+		lockOf := make(map[uint64]uint64, len(s.wdLockOf))
+		maps.Copy(lockOf, s.wdLockOf)
+		s.wdLockOf = lockOf
+	}
+	return s
 }
 
 // Snapshot deep-copies the machine's simulated state. Any batched
@@ -48,30 +40,10 @@ type MachineState struct {
 func (m *Machine) Snapshot() *MachineState {
 	m.Flush()
 	s := &MachineState{
-		scheme:       m.Scheme,
+		machineState: m.machineState.clone(),
 		mem:          m.Mem.Snapshot(),
 		heap:         m.Heap.Snapshot(),
 		os:           m.OS.Snapshot(),
-		counts:       m.counts,
-		pc:           m.pc,
-		codeSize:     m.codeSize,
-		sp:           m.sp,
-		nextReg:      m.nextReg,
-		lastALU:      m.lastALU,
-		lastLoad:     m.lastLoad,
-		wdNextKey:    m.wdNextKey,
-		wdLockCursor: m.wdLockCursor,
-		wdFreeLocks:  append([]uint64(nil), m.wdFreeLocks...),
-		mteNext:      m.mteNext,
-		hbtInserts:   m.hbtInserts,
-		hbtClears:    m.hbtClears,
-		hbtMigrated:  m.hbtMigrated,
-	}
-	if m.wdLockOf != nil {
-		s.wdLockOf = make(map[uint64]uint64, len(m.wdLockOf))
-		for k, v := range m.wdLockOf { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-			s.wdLockOf[k] = v
-		}
 	}
 	if m.mteTags != nil {
 		s.mteTags = m.mteTags.Snapshot()
@@ -87,8 +59,8 @@ func (m *Machine) Snapshot() *MachineState {
 // stays valid for further Restores, including concurrent ones on
 // different machines.
 func (m *Machine) Restore(s *MachineState) error {
-	if m.Scheme != s.scheme {
-		return fmt.Errorf("core: restore scheme mismatch: snapshot %v, machine %v", s.scheme, m.Scheme)
+	if m.Scheme != s.Scheme {
+		return fmt.Errorf("core: restore scheme mismatch: snapshot %v, machine %v", s.Scheme, m.Scheme)
 	}
 	if m.batch != nil {
 		m.batch = m.batch[:0]
@@ -96,28 +68,10 @@ func (m *Machine) Restore(s *MachineState) error {
 	m.Mem.Restore(s.mem)
 	m.Heap.Restore(s.heap)
 	m.OS.Restore(s.os)
-	m.counts = s.counts
-	m.pc = s.pc
-	m.codeSize = s.codeSize
-	m.sp = s.sp
-	m.nextReg = s.nextReg
-	m.lastALU = s.lastALU
-	m.lastLoad = s.lastLoad
-	m.wdNextKey = s.wdNextKey
-	m.wdLockCursor = s.wdLockCursor
-	m.wdFreeLocks = append(m.wdFreeLocks[:0:0], s.wdFreeLocks...)
-	m.wdLockOf = nil
-	if s.wdLockOf != nil {
-		m.wdLockOf = make(map[uint64]uint64, len(s.wdLockOf))
-		for k, v := range s.wdLockOf { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-			m.wdLockOf[k] = v
-		}
-	}
-	m.mteNext = s.mteNext
+	m.machineState = s.machineState.clone()
 	if s.mteTags != nil {
 		m.mteTags.Restore(s.mteTags)
 	}
-	m.hbtInserts, m.hbtClears, m.hbtMigrated = s.hbtInserts, s.hbtClears, s.hbtMigrated
 	if m.tel != nil {
 		m.telRefresh()
 	}

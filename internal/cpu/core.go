@@ -106,6 +106,36 @@ type Core struct {
 	bp   *bpred.TAGE
 	bwb  *mcu.BWB
 
+	// coreState is everything a checkpoint captures beyond the memory
+	// system, predictor and BWB (see snapshot.go).
+	coreState
+
+	// wayScratch is the reusable buffer checkWays fills: the MCQ FSM's way
+	// sequence is consumed before the next instruction, so one buffer per
+	// core keeps the signed-access path allocation-free.
+	wayScratch []int
+
+	// observer, when set, receives per-instruction pipeline timestamps
+	// (debug/visualization; nil in normal runs).
+	observer func(in *isa.Inst, t Timestamps)
+
+	// tel is the flight recorder (nil when telemetry is disabled);
+	// nextSample mirrors its next-due commit cycle so the per-
+	// instruction check in Emit is a single compare against an
+	// unreachable sentinel when disabled (see telemetry.go).
+	tel        *coreTelemetry
+	nextSample uint64
+
+	// mode selects detailed timing vs. functional fast-forward warming
+	// (see ff.go). Runtime control, not simulated state.
+	mode Mode
+}
+
+// coreState is the timing model's simulated state: clocks, occupancy
+// rings, port and MSHR reservations, and the statistics counters. It is
+// the one field list checkpoints capture: Snapshot copies it whole and
+// clones its buffers, Restore assigns it back.
+type coreState struct {
 	// Front end.
 	fetchCycle uint64
 	fetchCount int
@@ -168,26 +198,6 @@ type Core struct {
 	insts uint64
 	// statsSince is the commit cycle at the last ResetStats (warmup end).
 	statsSince uint64
-
-	// wayScratch is the reusable buffer checkWays fills: the MCQ FSM's way
-	// sequence is consumed before the next instruction, so one buffer per
-	// core keeps the signed-access path allocation-free.
-	wayScratch []int
-
-	// observer, when set, receives per-instruction pipeline timestamps
-	// (debug/visualization; nil in normal runs).
-	observer func(in *isa.Inst, t Timestamps)
-
-	// tel is the flight recorder (nil when telemetry is disabled);
-	// nextSample mirrors its next-due commit cycle so the per-
-	// instruction check in Emit is a single compare against an
-	// unreachable sentinel when disabled (see telemetry.go).
-	tel        *coreTelemetry
-	nextSample uint64
-
-	// mode selects detailed timing vs. functional fast-forward warming
-	// (see ff.go). Runtime control, not simulated state.
-	mode Mode
 }
 
 // Timestamps are one instruction's pipeline event cycles.
@@ -215,22 +225,24 @@ func New(cfg Config) *Core {
 		bwb = mcu.NewBWB()
 	}
 	return &Core{
-		cfg:         cfg,
-		hier:        h,
-		bp:          bpred.NewTAGE(),
-		bwb:         bwb,
-		robRing:     make([]uint64, cfg.ROBSize),
-		lqRing:      make([]uint64, cfg.LQSize),
-		sqRing:      make([]uint64, cfg.SQSize),
-		mcqRing:     make([]uint64, cfg.MCQSize),
-		dMSHR:       make([]uint64, cfg.DataMSHRs),
-		bMSHR:       make([]uint64, cfg.BoundsMSHRs),
-		port:        newPortSched(cfg.BoundsPortWidth),
-		dPort:       newPortSched(cfg.DataPortWidth),
-		bndstrDrain: make([]uint64, 1<<16),
-		wayScratch:  make([]int, 0, 64),
-		lastLine:    ^uint64(0),
-		nextSample:  ^uint64(0),
+		cfg:  cfg,
+		hier: h,
+		bp:   bpred.NewTAGE(),
+		bwb:  bwb,
+		coreState: coreState{
+			robRing:     make([]uint64, cfg.ROBSize),
+			lqRing:      make([]uint64, cfg.LQSize),
+			sqRing:      make([]uint64, cfg.SQSize),
+			mcqRing:     make([]uint64, cfg.MCQSize),
+			dMSHR:       make([]uint64, cfg.DataMSHRs),
+			bMSHR:       make([]uint64, cfg.BoundsMSHRs),
+			port:        newPortSched(cfg.BoundsPortWidth),
+			dPort:       newPortSched(cfg.DataPortWidth),
+			bndstrDrain: make([]uint64, 1<<16),
+			lastLine:    ^uint64(0),
+		},
+		wayScratch: make([]int, 0, 64),
+		nextSample: ^uint64(0),
 	}
 }
 

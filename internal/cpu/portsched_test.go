@@ -1,6 +1,9 @@
 package cpu
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // mapSched is the pre-ring reference implementation of the port reservation
 // scheme: a bare map of per-cycle counts plus a floor, exactly as the timing
@@ -92,6 +95,37 @@ func TestPortSchedAdvanceBeyondWindow(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		if got := s.reserve(100); got != far+i {
 			t.Fatalf("after advance(%d): reservation %d granted %d, want %d", far, i, got, far+i)
+		}
+	}
+}
+
+// TestPortSchedCloneRestore: a scheduler restored from a clone grants the
+// same cycles as the original continuing, and shares no storage with the
+// clone, the overflow spill included.
+func TestPortSchedCloneRestore(t *testing.T) {
+	s := newPortSched(1)
+	for i := uint64(0); i < 64; i++ {
+		s.reserve(i * 7)
+		s.reserve(portWindow + i*3) // beyond the window: spills
+	}
+	s.advance(100)
+	if len(s.overflow) == 0 {
+		t.Fatal("test is vacuous: nothing spilled to the overflow map")
+	}
+	snap := s.clone()
+	grants := func(p *portSched) []uint64 {
+		var out []uint64
+		for i := uint64(0); i < 64; i++ {
+			out = append(out, p.reserve(i*5), p.reserve(portWindow+i*2))
+		}
+		return out
+	}
+	want := grants(&s)
+	for trial := 0; trial < 2; trial++ {
+		r := newPortSched(1)
+		r.restore(&snap)
+		if got := grants(&r); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: restored scheduler granted %v, want %v", trial, got, want)
 		}
 	}
 }

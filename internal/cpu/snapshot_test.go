@@ -1,12 +1,15 @@
 package cpu
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"aos/internal/core"
 	"aos/internal/instrument"
 	"aos/internal/isa"
+	"aos/internal/workload"
 )
 
 type captureSink struct{ insts []isa.Inst }
@@ -73,38 +76,94 @@ func genStream(t testing.TB, scheme instrument.Scheme, iters int) []isa.Inst {
 	return rec.insts
 }
 
-// TestCoreSnapshotRestoreDeterminism: a restored timing core must produce
-// exactly the same cycle count and statistics as the original running
-// straight through the same stream.
-func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
-	stream := genStream(t, instrument.AOS, 40_000)
-	half := len(stream) / 2
+// scatteredStream is 30,000 program instructions of gcc with its heap cut
+// to 4,000 chunks, set-up left out: scattered enough to miss in the data
+// and bounds caches, so the core's MSHR rings are written, yet quick to
+// build.
+func scatteredStream(t testing.TB) []isa.Inst {
+	p, _ := workload.ByName("gcc")
+	p = p.Clone()
+	p.LiveChunks = 4000
+	m, err := core.New(core.Config{Scheme: instrument.AOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &captureSink{}
+	m.SetSink(rec)
+	r, err := workload.NewRunner(p, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.insts = rec.insts[:0]
+	if err := r.RunTo(context.Background(), 30_000, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	m.Flush()
+	return rec.insts
+}
 
+// TestCoreSnapshotRestoreDeterminism: a restored timing core must start
+// from exactly the original's state at the snapshot, however the original
+// or an earlier restored core ran on, and produce exactly the same cycle
+// count and statistics as the original running straight through the same
+// stream.
+func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
+	for _, stream := range [][]isa.Inst{genStream(t, instrument.AOS, 40_000), scatteredStream(t)} {
+		half := len(stream) / 2
+
+		a := New(DefaultConfig())
+		for i := range stream[:half] {
+			a.Emit(&stream[i])
+		}
+		snap := a.Snapshot()
+		// fmt renders every field, buffer contents included: a copy of
+		// the state that shares nothing with the core or its snapshot.
+		atSnap := fmt.Sprint(a.coreState)
+		for i := half; i < len(stream); i++ {
+			a.Emit(&stream[i])
+		}
+		want := a.Finalize()
+		wantLC := a.LastCommit()
+
+		for trial := 0; trial < 2; trial++ {
+			b := New(DefaultConfig())
+			if err := b.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(b.coreState) != atSnap {
+				t.Fatalf("trial %d: restored state differs from the original's at the snapshot", trial)
+			}
+			for i := half; i < len(stream); i++ {
+				b.Emit(&stream[i])
+			}
+			if got := b.Finalize(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: restored result diverged:\n got %+v\nwant %+v", trial, got, want)
+			}
+			if b.LastCommit() != wantLC {
+				t.Fatalf("trial %d: lastCommit %d, want %d", trial, b.LastCommit(), wantLC)
+			}
+		}
+	}
+}
+
+// TestCoreRestoreAllocatesNothing: Restore copies a snapshot into the
+// target core's own rings, tables and caches, so resuming a sampled window
+// allocates nothing.
+func TestCoreRestoreAllocatesNothing(t *testing.T) {
+	stream := genStream(t, instrument.AOS, 20_000)
 	a := New(DefaultConfig())
-	for i := range stream[:half] {
+	for i := range stream {
 		a.Emit(&stream[i])
 	}
 	snap := a.Snapshot()
-	for i := half; i < len(stream); i++ {
-		a.Emit(&stream[i])
-	}
-	want := a.Finalize()
-	wantLC := a.LastCommit()
-
-	for trial := 0; trial < 2; trial++ {
-		b := New(DefaultConfig())
+	b := New(DefaultConfig())
+	allocs := testing.AllocsPerRun(20, func() {
 		if err := b.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
-		for i := half; i < len(stream); i++ {
-			b.Emit(&stream[i])
-		}
-		if got := b.Finalize(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: restored result diverged:\n got %+v\nwant %+v", trial, got, want)
-		}
-		if b.LastCommit() != wantLC {
-			t.Fatalf("trial %d: lastCommit %d, want %d", trial, b.LastCommit(), wantLC)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("Restore of a warmed AOS core: %v allocations per run, want 0", allocs)
 	}
 }
 
@@ -193,22 +252,14 @@ func TestFFThenDetailedResumes(t *testing.T) {
 	}
 }
 
-// TestCoreSnapshotComplete is the reflection guard: every Core field must
-// be classified as snapshotted or explicitly operational.
+// TestCoreSnapshotComplete is the reflection guard. Every Core field is
+// classified as checkpointed or operational, and every field of coreState
+// and portSched that an assignment would share is on the deep-copy list
+// that Snapshot clones and Restore refills.
 func TestCoreSnapshotComplete(t *testing.T) {
-	covered := map[string]bool{
-		"hier": true, "bp": true, "bwb": true,
-		"fetchCycle": true, "fetchCount": true, "lastLine": true, "redirect": true,
-		"regReady": true,
-		"robRing":  true, "robIdx": true, "lqRing": true, "lqIdx": true,
-		"sqRing": true, "sqIdx": true, "mcqRing": true, "mcqIdx": true,
-		"lastCommit": true, "commitCycle": true, "commitUsed": true,
-		"port": true, "dPort": true,
-		"dMSHR": true, "dMSHRIdx": true, "bMSHR": true, "bMSHRIdx": true,
-		"cryptoFree":  true,
-		"bndstrDrain": true, "checked": true, "boundsAccess": true,
-		"forwards": true, "resizes": true, "retireDelay": true,
-		"insts": true, "statsSince": true,
+	checkpointed := map[string]bool{
+		// hier, bp and bwb snapshot themselves into CoreState.
+		"coreState": true, "hier": true, "bp": true, "bwb": true,
 	}
 	operational := map[string]bool{
 		// cfg is construction-time; wayScratch is a reusable scratch
@@ -220,19 +271,45 @@ func TestCoreSnapshotComplete(t *testing.T) {
 	typ := reflect.TypeOf(Core{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if covered[name] == operational[name] {
-			t.Errorf("cpu.Core field %q is not classified as snapshotted or operational; update Snapshot/Restore and this test", name)
+		if checkpointed[name] == operational[name] {
+			t.Errorf("cpu.Core field %q is not classified as checkpointed or operational; update Snapshot/Restore and this test", name)
 		}
 	}
-	st := reflect.TypeOf(CoreState{})
-	if st.NumField() != len(covered) {
-		t.Errorf("cpu.CoreState has %d fields, covered set has %d; keep them in sync", st.NumField(), len(covered))
+	for _, tc := range []struct {
+		typ        reflect.Type
+		deepCopied map[string]bool
+	}{
+		{reflect.TypeOf(coreState{}), map[string]bool{
+			"robRing": true, "lqRing": true, "sqRing": true, "mcqRing": true,
+			"port": true, "dPort": true, "dMSHR": true, "bMSHR": true,
+			"bndstrDrain": true,
+		}},
+		{reflect.TypeOf(portSched{}), map[string]bool{"ring": true, "overflow": true}},
+	} {
+		for i := 0; i < tc.typ.NumField(); i++ {
+			f := tc.typ.Field(i)
+			if shares := sharesStorage(f.Type); shares != tc.deepCopied[f.Name] {
+				t.Errorf("cpu.%s field %q: shares storage %v, on the deep-copy list %v; update Snapshot/Restore and this test",
+					tc.typ.Name(), f.Name, shares, tc.deepCopied[f.Name])
+			}
+		}
 	}
-	// portSchedState must likewise track portSched (width is construction-
-	// time; everything else is state).
-	ps := reflect.TypeOf(portSched{})
-	pst := reflect.TypeOf(portSchedState{})
-	if ps.NumField() != pst.NumField()+2 { // width + mask are construction-time
-		t.Errorf("portSched has %d fields, portSchedState %d (+2 construction-time); keep snapshot() in sync", ps.NumField(), pst.NumField())
+}
+
+// sharesStorage reports whether assigning a value of type t leaves the
+// copy sharing storage with the original.
+func sharesStorage(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return sharesStorage(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if sharesStorage(t.Field(i).Type) {
+				return true
+			}
+		}
 	}
+	return false
 }

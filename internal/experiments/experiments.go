@@ -374,6 +374,9 @@ func Fig11(n int) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Nothing here reads the allocator's metadata-access log (only a
+		// core.Machine consumes it); drain it so it stays empty.
+		alloc.DrainAccesses()
 		pac := uint16(ciph.Encrypt(ptr, context))
 		h.Add(uint64(pac))
 	}
@@ -441,6 +444,9 @@ func MemProfiles(set string, scale uint64, o Options) ([]workload.MemoryProfileR
 				alloc := heap.New(mm, kernel.HeapBase, 1<<37)
 				var live []uint64
 				res := p.AllocSchedule(scale, func(isAlloc bool) {
+					// The metadata-access log feeds only a core.Machine;
+					// drain it so a long schedule does not grow it.
+					defer alloc.DrainAccesses()
 					if isAlloc {
 						size := p.ChunkSize[0]
 						ptr, err := alloc.Malloc(size)

@@ -86,13 +86,12 @@ func TestTableSnapshotAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestTableSnapshotComplete is the reflection guard: every Table field must
-// be snapshotted or explicitly operational.
+// TestTableSnapshotComplete is the reflection guard. Every Table field is
+// classified as checkpointed or operational, and every tableState field an
+// assignment would share is on the deep-copy list, which is empty: a
+// snapshot is one assignment.
 func TestTableSnapshotComplete(t *testing.T) {
-	covered := map[string]bool{
-		"base": true, "assoc": true, "logA": true, "slots": true,
-		"entrySize": true, "live": true,
-	}
+	checkpointed := map[string]bool{"tableState": true}
 	operational := map[string]bool{
 		// mem is the runtime wiring to the simulated address space; the
 		// space itself is checkpointed by mem.Memory.Snapshot.
@@ -101,12 +100,35 @@ func TestTableSnapshotComplete(t *testing.T) {
 	typ := reflect.TypeOf(Table{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if covered[name] == operational[name] {
-			t.Errorf("hbt.Table field %q is not classified as snapshotted or operational; update Snapshot/Restore and this test", name)
+		if checkpointed[name] == operational[name] {
+			t.Errorf("hbt.Table field %q is not classified as checkpointed or operational; update snapshot.go and this test", name)
 		}
 	}
-	st := reflect.TypeOf(State{})
-	if st.NumField() != len(covered) {
-		t.Errorf("hbt.State has %d fields, covered set has %d; keep them in sync", st.NumField(), len(covered))
+	deepCopied := map[string]bool{}
+	st := reflect.TypeOf(tableState{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if shares := sharesStorage(f.Type); shares != deepCopied[f.Name] {
+			t.Errorf("hbt.tableState field %q: shares storage %v, on the deep-copy list %v; update snapshot.go and this test",
+				f.Name, shares, deepCopied[f.Name])
+		}
 	}
+}
+
+// sharesStorage reports whether assigning a value of type t leaves the
+// copy sharing storage with the original.
+func sharesStorage(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return sharesStorage(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if sharesStorage(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -27,7 +27,13 @@ const (
 // copy-on-write; an operation reads the PAC's row through one page lookup
 // (the base is page-aligned and a row is at most one page).
 type Table struct {
-	mem   *mem.Memory
+	mem *mem.Memory
+	tableState
+}
+
+// tableState is the table's bookkeeping, the one field list that
+// checkpoints capture (see snapshot.go).
+type tableState struct {
 	base  uint64
 	assoc int
 	logA  uint // log2(assoc)
@@ -61,21 +67,17 @@ func NewTableEntrySize(m *mem.Memory, base uint64, assoc int, entryBytes int) (*
 	if entryBytes != 8 && entryBytes != 16 {
 		return nil, fmt.Errorf("hbt: unsupported entry size %d", entryBytes)
 	}
-	return &Table{
-		mem:       m,
+	return &Table{mem: m, tableState: tableState{
 		base:      base,
 		assoc:     assoc,
 		logA:      uint(bits.TrailingZeros(uint(assoc))),
 		slots:     WayBytes / entryBytes,
 		entrySize: uint64(entryBytes),
-	}, nil
+	}}, nil
 }
 
 // SlotsPerWay returns the number of bounds entries per 64-byte way.
 func (t *Table) SlotsPerWay() int { return t.slots }
-
-// EntryBytes returns the per-entry footprint.
-func (t *Table) EntryBytes() uint64 { return t.entrySize }
 
 // Base returns BND_BASE.
 func (t *Table) Base() uint64 { return t.base }

@@ -68,13 +68,6 @@ func canaryWord(ptr uint64) uint64 { return canarySecret ^ (ptr * canaryMix) }
 // and quarantined chunks.
 func (a *Allocator) SetHardening(h Hardening) { a.hard = h }
 
-// HardeningConfig returns the active hardening configuration.
-func (a *Allocator) HardeningConfig() Hardening { return a.hard }
-
-// Quarantined returns the number of chunks currently parked in the
-// quarantine FIFO.
-func (a *Allocator) Quarantined() int { return len(a.quarantine) }
-
 // canarySlack is the extra payload reserved for the canary word.
 func (a *Allocator) canarySlack() uint64 {
 	if a.hard.Canary {

@@ -81,15 +81,15 @@ type Stats struct {
 	MaxBytes uint64 // peak payload bytes
 }
 
-// Hooks receive allocation events (the Valgrind --trace-malloc equivalent).
-type Hooks struct {
-	OnAlloc func(ptr, size uint64)
-	OnFree  func(ptr uint64)
-}
-
 // Allocator is a single-arena glibc-style allocator.
 type Allocator struct {
-	mem   *mem.Memory
+	mem *mem.Memory
+	allocState
+}
+
+// allocState is the allocator's host-side bookkeeping, the one field list
+// that checkpoints capture (see snapshot.go).
+type allocState struct {
 	base  uint64 // segment start
 	brk   uint64 // current segment end (grown in brkIncrement steps)
 	limit uint64 // hard segment end
@@ -100,7 +100,6 @@ type Allocator struct {
 	bins     [65]uint64        // doubly linked; [64] is the catch-all large bin
 	sizes    map[uint64]uint64 // payload sizes of live allocations (by ptr)
 	accesses []Access
-	hooks    Hooks
 	stats    Stats
 
 	hard       Hardening // software hardening features (see hardened.go)
@@ -118,22 +117,18 @@ func New(m *mem.Memory, base, limit uint64) *Allocator {
 	if base%Align != 0 {
 		panic("heap: unaligned base")
 	}
-	a := &Allocator{
-		mem:   m,
+	a := &Allocator{mem: m, allocState: allocState{
 		base:  base,
 		brk:   base,
 		limit: base + limit,
 		sizes: make(map[uint64]uint64),
-	}
+	}}
 	// Materialize the initial top chunk.
 	a.extendBrk(brkIncrement)
 	a.top = base
 	a.setHeader(a.top, (a.brk-base)|prevInUse)
 	return a
 }
-
-// SetHooks installs allocation-event hooks.
-func (a *Allocator) SetHooks(h Hooks) { a.hooks = h }
 
 // Stats returns a copy of the allocator statistics.
 func (a *Allocator) Stats() Stats { return a.stats }
@@ -149,9 +144,6 @@ func (a *Allocator) DrainAccesses() []Access {
 
 // Base returns the heap segment base address.
 func (a *Allocator) Base() uint64 { return a.base }
-
-// Brk returns the current segment frontier.
-func (a *Allocator) Brk() uint64 { return a.brk }
 
 func (a *Allocator) record(addr uint64, store bool) {
 	a.accesses = append(a.accesses, Access{Addr: addr, Store: store})
@@ -298,9 +290,6 @@ func (a *Allocator) Malloc(size uint64) (uint64, error) {
 	a.stats.BytesIn += size
 	if a.stats.BytesIn > a.stats.MaxBytes {
 		a.stats.MaxBytes = a.stats.BytesIn
-	}
-	if a.hooks.OnAlloc != nil {
-		a.hooks.OnAlloc(ptr, size)
 	}
 	return ptr, nil
 }
@@ -502,9 +491,6 @@ func (a *Allocator) noteFreed(ptr uint64, wasLive bool, reqSize uint64) {
 		a.stats.BytesIn -= reqSize
 	}
 	a.stats.Frees++
-	if a.hooks.OnFree != nil {
-		a.hooks.OnFree(ptr)
-	}
 }
 
 func (a *Allocator) coalesceAndBin(chunk, csize uint64) {

@@ -278,22 +278,6 @@ func TestStatsTracking(t *testing.T) {
 	}
 }
 
-func TestHooksFire(t *testing.T) {
-	a, _ := newTestAllocator(t)
-	var allocs, frees int
-	a.SetHooks(Hooks{
-		OnAlloc: func(ptr, size uint64) { allocs++ },
-		OnFree:  func(ptr uint64) { frees++ },
-	})
-	p, _ := a.Malloc(64)
-	if err := a.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 1 || frees != 1 {
-		t.Errorf("hooks fired alloc=%d free=%d, want 1/1", allocs, frees)
-	}
-}
-
 func TestMetadataAccessesRecorded(t *testing.T) {
 	a, _ := newTestAllocator(t)
 	a.DrainAccesses()

@@ -1,67 +1,30 @@
 package heap
 
+import "maps"
+
 // State is a deep copy of the allocator's bookkeeping, taken by Snapshot.
 // Chunk headers and free-list links live in simulated memory and are
 // checkpointed by mem.Memory.Snapshot; this State carries the host-side
 // metadata (bin heads, live-size map, stats, hardening queue) so a restored
 // allocator agrees with the restored address space.
 type State struct {
-	base  uint64
-	brk   uint64
-	limit uint64
-	top   uint64
-
-	fastbins [8]uint64
-	tcache   [64]tcacheBin
-	bins     [65]uint64
-	sizes    map[uint64]uint64
-	accesses []Access
-	stats    Stats
-
-	hard       Hardening
-	quarantine []uint64
+	allocState
 }
 
-// Snapshot deep-copies the allocator bookkeeping.
-func (a *Allocator) Snapshot() *State {
-	s := &State{
-		base:       a.base,
-		brk:        a.brk,
-		limit:      a.limit,
-		top:        a.top,
-		fastbins:   a.fastbins,
-		tcache:     a.tcache,
-		bins:       a.bins,
-		sizes:      make(map[uint64]uint64, len(a.sizes)),
-		accesses:   append([]Access(nil), a.accesses...),
-		stats:      a.stats,
-		hard:       a.hard,
-		quarantine: append([]uint64(nil), a.quarantine...),
-	}
-	for p, sz := range a.sizes { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-		s.sizes[p] = sz
-	}
+// clone returns a copy of s that shares no storage with it.
+func (s allocState) clone() allocState {
+	sizes := make(map[uint64]uint64, len(s.sizes))
+	maps.Copy(sizes, s.sizes)
+	s.sizes = sizes
+	s.accesses = append([]Access(nil), s.accesses...)
+	s.quarantine = append([]uint64(nil), s.quarantine...)
 	return s
 }
 
+// Snapshot deep-copies the allocator bookkeeping.
+func (a *Allocator) Snapshot() *State { return &State{a.allocState.clone()} }
+
 // Restore rewinds the allocator to a snapshot. The backing memory must be
 // restored to the matching mem.State separately (core.Machine.Restore does
-// both). Hooks are runtime wiring and are left untouched. The snapshot
-// stays valid for further restores.
-func (a *Allocator) Restore(s *State) {
-	a.base = s.base
-	a.brk = s.brk
-	a.limit = s.limit
-	a.top = s.top
-	a.fastbins = s.fastbins
-	a.tcache = s.tcache
-	a.bins = s.bins
-	a.sizes = make(map[uint64]uint64, len(s.sizes))
-	for p, sz := range s.sizes { //aoslint:allow mapiter — order-free: builds an independent map, no order-dependent effects
-		a.sizes[p] = sz
-	}
-	a.accesses = append(a.accesses[:0:0], s.accesses...)
-	a.stats = s.stats
-	a.hard = s.hard
-	a.quarantine = append(a.quarantine[:0:0], s.quarantine...)
-}
+// both). The snapshot stays valid for further restores.
+func (a *Allocator) Restore(s *State) { a.allocState = s.allocState.clone() }

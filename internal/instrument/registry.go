@@ -87,12 +87,3 @@ var registry = [numSchemes]Descriptor{
 		HasHardenedAllocator: true,
 	},
 }
-
-// Describe returns the registry entry for a valid scheme (ok=false for an
-// out-of-range value).
-func Describe(s Scheme) (Descriptor, bool) {
-	if !s.Valid() {
-		return Descriptor{}, false
-	}
-	return registry[s], true
-}

@@ -263,28 +263,6 @@ func (NullSink) Emit(*Inst) {}
 // EmitBatch implements BatchSink.
 func (NullSink) EmitBatch([]Inst) {}
 
-// SliceStream adapts a materialized trace to the Stream interface.
-type SliceStream struct {
-	insts []Inst
-	pos   int
-}
-
-// NewSliceStream returns a Stream over insts.
-func NewSliceStream(insts []Inst) *SliceStream { return &SliceStream{insts: insts} }
-
-// Next implements Stream.
-func (s *SliceStream) Next(out *Inst) bool {
-	if s.pos >= len(s.insts) {
-		return false
-	}
-	*out = s.insts[s.pos]
-	s.pos++
-	return true
-}
-
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Counts tallies dynamic instructions by class, with the signed/unsigned
 // memory split the paper reports in Fig 16.
 type Counts struct {

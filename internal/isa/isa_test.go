@@ -48,26 +48,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	insts := []Inst{{Op: OpALU}, {Op: OpLoad, Addr: 0x1000}, {Op: OpBranch, Taken: true}}
-	s := NewSliceStream(insts)
-	var got []Inst
-	var in Inst
-	for s.Next(&in) {
-		got = append(got, in)
-	}
-	if len(got) != 3 || got[1].Addr != 0x1000 || !got[2].Taken {
-		t.Errorf("stream replay mismatch: %+v", got)
-	}
-	if s.Next(&in) {
-		t.Error("exhausted stream returned true")
-	}
-	s.Reset()
-	if !s.Next(&in) || in.Op != OpALU {
-		t.Error("Reset did not rewind")
-	}
-}
-
 func TestCounts(t *testing.T) {
 	var c Counts
 	add := func(in Inst) { c.Add(&in) }

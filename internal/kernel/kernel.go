@@ -84,8 +84,14 @@ type ResizeEvent struct {
 
 // OS is the modeled kernel state for one process.
 type OS struct {
-	mem        *mem.Memory
-	table      *hbt.Table
+	mem   *mem.Memory
+	table *hbt.Table
+	osState
+}
+
+// osState is the OS context beyond the bounds table, the one field list
+// that checkpoints capture (see snapshot.go).
+type osState struct {
 	nextHBT    uint64
 	entryBytes int
 
@@ -102,7 +108,7 @@ func NewOS(m *mem.Memory, initialAssoc int) (*OS, error) {
 // NewOSEntrySize is NewOS with an explicit bounds-entry size (16 bytes for
 // the Fig 15 no-compression ablation).
 func NewOSEntrySize(m *mem.Memory, initialAssoc, entryBytes int) (*OS, error) {
-	os := &OS{mem: m, nextHBT: HBTBase, entryBytes: entryBytes}
+	os := &OS{mem: m, osState: osState{nextHBT: HBTBase, entryBytes: entryBytes}}
 	t, err := os.allocTable(initialAssoc)
 	if err != nil {
 		return nil, err

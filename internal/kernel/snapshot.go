@@ -7,22 +7,20 @@ import "aos/internal/hbt"
 // own state. The table's architectural storage lives in simulated memory
 // and is checkpointed by mem.Memory.Snapshot.
 type State struct {
-	nextHBT    uint64
-	entryBytes int
-	resizes    []ResizeEvent
-	exceptions []Exception
-	table      *hbt.State
+	osState
+	table *hbt.State
+}
+
+// clone returns a copy of s that shares no storage with it.
+func (s osState) clone() osState {
+	s.resizes = append([]ResizeEvent(nil), s.resizes...)
+	s.exceptions = append([]Exception(nil), s.exceptions...)
+	return s
 }
 
 // Snapshot deep-copies the OS context.
 func (o *OS) Snapshot() *State {
-	return &State{
-		nextHBT:    o.nextHBT,
-		entryBytes: o.entryBytes,
-		resizes:    append([]ResizeEvent(nil), o.resizes...),
-		exceptions: append([]Exception(nil), o.exceptions...),
-		table:      o.table.Snapshot(),
-	}
+	return &State{osState: o.osState.clone(), table: o.table.Snapshot()}
 }
 
 // Restore rewinds the OS context to a snapshot. The backing memory must be
@@ -31,9 +29,6 @@ func (o *OS) Snapshot() *State {
 // held by callers stay valid. The snapshot stays valid for further
 // restores.
 func (o *OS) Restore(s *State) {
-	o.nextHBT = s.nextHBT
-	o.entryBytes = s.entryBytes
-	o.resizes = append(o.resizes[:0:0], s.resizes...)
-	o.exceptions = append(o.exceptions[:0:0], s.exceptions...)
+	o.osState = s.osState.clone()
 	o.table.Restore(s.table)
 }

@@ -60,14 +60,40 @@ func TestOSSnapshotRestoreDeterminism(t *testing.T) {
 	if o.Table().Base() != baseAtSnap || o.Table().Live() != liveAtSnap {
 		t.Fatal("second restore diverged: snapshot was mutated")
 	}
+
+	// A snapshot of non-empty logs gives its restores logs of their own:
+	// an append on the original or a restored OS cannot reach the
+	// snapshot's arrays or each other's.
+	if _, err := o.HandleTableFull(); err != nil {
+		t.Fatal(err)
+	}
+	o.RaiseException(ExcBoundsCheck, 0xbeef, "pre-snapshot")
+	ms, s = m.Snapshot(), o.Snapshot()
+	m2 := mem.New()
+	m2.Restore(ms)
+	o2, err := NewOS(m2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2.Restore(s)
+	if !reflect.DeepEqual(o2.Resizes(), o.Resizes()) || !reflect.DeepEqual(o2.Exceptions(), o.Exceptions()) {
+		t.Fatal("restored logs differ from the original's")
+	}
+	for _, os := range []*OS{o, o2} {
+		if &os.resizes[0] == &s.resizes[0] || &os.exceptions[0] == &s.exceptions[0] {
+			t.Fatal("an OS shares its resize or exception log's array with its snapshot")
+		}
+	}
 }
 
-// TestOSSnapshotComplete is the reflection guard: every OS field must be
-// snapshotted or explicitly operational.
+// TestOSSnapshotComplete is the reflection guard. Every OS field is
+// classified as checkpointed or operational, and every osState field an
+// assignment would share is on the deep-copy list that Snapshot and
+// Restore clone.
 func TestOSSnapshotComplete(t *testing.T) {
-	covered := map[string]bool{
-		"nextHBT": true, "entryBytes": true,
-		"resizes": true, "exceptions": true, "table": true,
+	checkpointed := map[string]bool{
+		// table snapshots itself into State.
+		"osState": true, "table": true,
 	}
 	operational := map[string]bool{
 		// mem is runtime wiring, checkpointed by mem.Memory.Snapshot.
@@ -76,12 +102,35 @@ func TestOSSnapshotComplete(t *testing.T) {
 	typ := reflect.TypeOf(OS{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if covered[name] == operational[name] {
-			t.Errorf("kernel.OS field %q is not classified as snapshotted or operational; update Snapshot/Restore and this test", name)
+		if checkpointed[name] == operational[name] {
+			t.Errorf("kernel.OS field %q is not classified as checkpointed or operational; update Snapshot/Restore and this test", name)
 		}
 	}
-	st := reflect.TypeOf(State{})
-	if st.NumField() != len(covered) {
-		t.Errorf("kernel.State has %d fields, covered set has %d; keep them in sync", st.NumField(), len(covered))
+	deepCopied := map[string]bool{"resizes": true, "exceptions": true}
+	st := reflect.TypeOf(osState{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if shares := sharesStorage(f.Type); shares != deepCopied[f.Name] {
+			t.Errorf("kernel.osState field %q: shares storage %v, on the deep-copy list %v; update Snapshot/Restore and this test",
+				f.Name, shares, deepCopied[f.Name])
+		}
 	}
+}
+
+// sharesStorage reports whether assigning a value of type t leaves the
+// copy sharing storage with the original.
+func sharesStorage(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return sharesStorage(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if sharesStorage(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

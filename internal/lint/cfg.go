@@ -54,16 +54,6 @@ func (b *cfgBuilder) newBlock() *cfgBlock {
 	return blk
 }
 
-// startBlock begins a fresh block that the current one falls through to.
-func (b *cfgBuilder) startBlock() *cfgBlock {
-	blk := b.newBlock()
-	if !b.cur.terminal {
-		b.cur.succs = append(b.cur.succs, blk)
-	}
-	b.cur = blk
-	return blk
-}
-
 func (b *cfgBuilder) stmtList(list []ast.Stmt) {
 	for _, s := range list {
 		b.stmt(s)

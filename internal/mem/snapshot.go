@@ -16,9 +16,6 @@ type State struct {
 	pagesTouched uint64
 }
 
-// Pages reports the snapshot's touched-page count (footprint proxy).
-func (s *State) Pages() uint64 { return s.pagesTouched }
-
 // Snapshot freezes the current contents. The live space keeps running:
 // subsequent writes copy shared pages on demand, reads are untouched.
 func (m *Memory) Snapshot() *State {

@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's microarchitectural flight
-// recorder: a probe registry (counters, gauges, fixed-bucket
-// histograms) plus a cycle-windowed sampler that the timing core
-// drives at a configurable commit-cycle interval.
+// recorder: a probe registry (counters and gauges) plus a
+// cycle-windowed sampler that the timing core drives at a
+// configurable commit-cycle interval.
 //
 // Design constraints, in priority order:
 //
@@ -10,8 +10,8 @@
 //     extra on the hot path; every integration point is a single
 //     nil/threshold check.
 //  2. Steady-state probe updates never allocate. Registration
-//     happens once at setup (allocations fine); Counter.Add,
-//     Gauge.Set and Histogram.Observe are plain integer stores.
+//     happens once at setup (allocations fine); Counter.Add and
+//     Gauge.Set are plain integer stores.
 //     Sample rows amortise through an append-grown backing slice.
 //  3. Probes are passive. They observe the simulation; they never
 //     feed back into it, so sampled and unsampled runs produce
@@ -30,7 +30,6 @@ package telemetry
 import (
 	"fmt"
 	"regexp"
-	"sort"
 )
 
 // Kind says how a probe's value turns into a time series: counters
@@ -41,7 +40,6 @@ type Kind uint8
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -50,8 +48,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -82,59 +78,28 @@ func (g *Gauge) Set(v uint64) { g.v = v }
 // Load returns the current level.
 func (g *Gauge) Load() uint64 { return g.v }
 
-// Histogram counts observations into fixed buckets chosen at
-// registration; Observe is a branch-light linear scan (bucket
-// counts are small) and never allocates.
-type Histogram struct {
-	bounds []uint64 // upper bounds, ascending; implicit +Inf last
-	counts []uint64 // len(bounds)+1
-	sum    uint64
-	n      uint64
-}
-
-// Observe records one value. It never allocates.
-func (h *Histogram) Observe(v uint64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
-
-// Snapshot returns the bucket upper bounds, per-bucket counts (the
-// final count is the overflow bucket), total observation count and
-// sum. The returned slices alias the histogram's backing arrays.
-func (h *Histogram) Snapshot() (bounds []uint64, counts []uint64, n, sum uint64) {
-	return h.bounds, h.counts, h.n, h.sum
-}
-
 // probe is one registered name plus the typed cell behind it.
 type probe struct {
 	name string
 	kind Kind
 	c    *Counter
 	g    *Gauge
-	h    *Histogram
 }
 
 // value returns the probe's current scalar: cumulative count for
-// counters and histograms (observation count), level for gauges.
+// counters, level for gauges.
 func (p *probe) value() uint64 {
 	switch p.kind {
 	case KindCounter:
 		return p.c.v
 	case KindGauge:
 		return p.g.v
-	case KindHistogram:
-		return p.h.n
 	}
 	return 0
 }
 
-// Registry holds named probes. Registration (Counter, Gauge,
-// Histogram) happens during setup and may allocate; it panics on a
+// Registry holds named probes. Registration (Counter, Gauge) happens
+// during setup and may allocate; it panics on a
 // malformed or duplicate name because both are programming errors —
 // a misnamed probe would silently vanish from dashboards.
 type Registry struct {
@@ -171,23 +136,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	i := r.register(name, KindGauge)
 	r.probes[i].g = new(Gauge)
 	return r.probes[i].g
-}
-
-// Histogram registers and returns a histogram with the given
-// ascending bucket upper bounds (an overflow bucket is implicit).
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	if len(bounds) == 0 {
-		panic(fmt.Sprintf("telemetry: histogram %q needs at least one bucket bound", name))
-	}
-	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
-		panic(fmt.Sprintf("telemetry: histogram %q bounds must be strictly ascending", name))
-	}
-	i := r.register(name, KindHistogram)
-	r.probes[i].h = &Histogram{
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-	return r.probes[i].h
 }
 
 // Names returns the registered probe names in registration order.

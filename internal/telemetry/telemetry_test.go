@@ -41,27 +41,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	r.Gauge("cpu_commits_total")
 }
 
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("cpu_retire_delay_cycles", []uint64{1, 4, 16})
-	for _, v := range []uint64{0, 1, 2, 5, 100} {
-		h.Observe(v)
-	}
-	bounds, counts, n, sum := h.Snapshot()
-	if len(bounds) != 3 || len(counts) != 4 {
-		t.Fatalf("snapshot shape: %d bounds, %d counts", len(bounds), len(counts))
-	}
-	want := []uint64{2, 1, 1, 1} // <=1:{0,1}, <=4:{2}, <=16:{5}, +Inf:{100}
-	for i, c := range counts {
-		if c != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
-		}
-	}
-	if n != 5 || sum != 108 {
-		t.Errorf("n=%d sum=%d, want 5/108", n, sum)
-	}
-}
-
 func TestTimelineSampling(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cpu_insts_total")
@@ -108,11 +87,9 @@ func TestSteadyStateUpdatesDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cpu_insts_total")
 	g := r.Gauge("cpu_mcq_occupancy")
-	h := r.Histogram("cpu_retire_delay_cycles", []uint64{1, 8, 64})
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Add(1)
 		g.Set(5)
-		h.Observe(9)
 	})
 	if allocs != 0 {
 		t.Fatalf("probe updates allocated %.1f/op, want 0", allocs)

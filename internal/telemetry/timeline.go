@@ -4,9 +4,9 @@ import "fmt"
 
 // A Sample is one row of the recorded time series: every registered
 // probe's value captured at the same commit cycle. Values holds raw
-// probe values in registration order (cumulative for counters and
-// histograms, instantaneous for gauges); exporters convert counters
-// to per-window deltas.
+// probe values in registration order (cumulative for counters,
+// instantaneous for gauges); exporters convert counters to
+// per-window deltas.
 type Sample struct {
 	Cycle  uint64
 	Insts  uint64
@@ -140,7 +140,7 @@ func (t *Timeline) Summarize() *Summary {
 	}
 	for i, p := range t.reg.probes {
 		switch p.kind {
-		case KindCounter, KindHistogram:
+		case KindCounter:
 			s.Final[p.name] = p.value()
 		case KindGauge:
 			peak := uint64(0)

@@ -249,10 +249,6 @@ func New(scheme instrument.Scheme) *Checker {
 	return c
 }
 
-// ContractOf exposes the scheme's registered contract (its whitelist and
-// rule count), mainly for tests and tooling.
-func ContractOf(scheme instrument.Scheme) *Contract { return contractFor(scheme) }
-
 // SetJob attaches the serving layer's correlation id to the checker:
 // the Error it reports (and every Report line) then carries the id, so
 // sanitizer verdicts in daemon logs join the job's trail. Empty resets.

@@ -19,12 +19,8 @@ type Runner struct {
 	p *Profile
 	m *core.Machine
 
-	seed int64
-	src  *countingSource
-	rng  *rand.Rand
-
-	chunks []core.Ptr
-	bias   []float64
+	src *countingSource
+	rng *rand.Rand
 
 	// Derived, draw-free parameters (recomputed from the profile on every
 	// construction path; never checkpointed).
@@ -35,6 +31,19 @@ type Runner struct {
 	stride     uint64
 	callGap    uint64
 	allocGap   uint64
+
+	// runnerState is the loop state a checkpoint captures besides the
+	// PRNG (see RunnerState).
+	runnerState
+}
+
+// runnerState is the program's loop state, the one field list that
+// checkpoints capture: State copies it whole and clones its slices.
+type runnerState struct {
+	seed int64
+
+	chunks []core.Ptr
+	bias   []float64
 
 	// Strided-burst cursor.
 	cur       core.Ptr
@@ -47,6 +56,13 @@ type Runner struct {
 	nextCtxCheck uint64
 }
 
+// clone returns a copy of s that shares no storage with it.
+func (s runnerState) clone() runnerState {
+	s.chunks = append([]core.Ptr(nil), s.chunks...)
+	s.bias = append([]float64(nil), s.bias...)
+	return s
+}
+
 // NewRunner validates the profile and performs the program's setup phase on
 // m — steady-state heap construction, prefaulting, branch-bias derivation
 // (the setup emits instructions).
@@ -55,7 +71,7 @@ func NewRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, m: m, seed: seed, src: newCountingSource(seed)}
+	r := &Runner{p: p, m: m, src: newCountingSource(seed), runnerState: runnerState{seed: seed}}
 	r.rng = rand.New(r.src)
 	r.deriveParams()
 
@@ -165,7 +181,7 @@ func (r *Runner) pickChunk() core.Ptr {
 
 // nextHeapTarget advances the strided-burst cursor.
 func (r *Runner) nextHeapTarget() (core.Ptr, uint64) {
-	if r.remaining <= 0 || r.cur.Raw == 0 || !stillLive(r.chunks, r.cur) {
+	if r.remaining <= 0 || r.cur.Raw == 0 {
 		r.cur = r.pickChunk()
 		span := r.cur.Size &^ 7
 		if span == 0 {
@@ -294,21 +310,9 @@ func (r *Runner) RunTo(ctx context.Context, until, total uint64) error {
 // Pair it with the machine and timing-core snapshots taken at the same
 // instruction boundary to capture a whole simulation.
 type RunnerState struct {
+	runnerState
 	profile string
-	seed    int64
 	rng     rngState
-
-	chunks []core.Ptr
-	bias   []float64
-
-	cur       core.Ptr
-	curOff    uint64
-	remaining int
-
-	produced     uint64
-	sinceCall    uint64
-	sinceAlloc   uint64
-	nextCtxCheck uint64
 }
 
 // Produced reports the checkpoint's instruction position.
@@ -317,20 +321,7 @@ func (s *RunnerState) Produced() uint64 { return s.produced }
 // State deep-copies the runner's loop state. The snapshot is immutable and
 // reusable for any number of NewRunnerFromState calls.
 func (r *Runner) State() *RunnerState {
-	return &RunnerState{
-		profile:      r.p.Name,
-		seed:         r.seed,
-		rng:          captureRNG(r.src),
-		chunks:       append([]core.Ptr(nil), r.chunks...),
-		bias:         append([]float64(nil), r.bias...),
-		cur:          r.cur,
-		curOff:       r.curOff,
-		remaining:    r.remaining,
-		produced:     r.produced,
-		sinceCall:    r.sinceCall,
-		sinceAlloc:   r.sinceAlloc,
-		nextCtxCheck: r.nextCtxCheck,
-	}
+	return &RunnerState{runnerState: r.runnerState.clone(), profile: r.p.Name, rng: captureRNG(r.src)}
 }
 
 // NewRunnerFromState builds a runner positioned at a checkpoint, skipping
@@ -344,18 +335,8 @@ func NewRunnerFromState(p *Profile, m *core.Machine, s *RunnerState) (*Runner, e
 	if p.Name != s.profile {
 		return nil, fmt.Errorf("workload: runner state is for profile %q, not %q", s.profile, p.Name)
 	}
-	r := &Runner{p: p, m: m, seed: s.seed}
-	r.src = restoreRNG(s.seed, s.rng)
+	r := &Runner{p: p, m: m, src: restoreRNG(s.seed, s.rng), runnerState: s.runnerState.clone()}
 	r.rng = rand.New(r.src)
 	r.deriveParams()
-	r.chunks = append([]core.Ptr(nil), s.chunks...)
-	r.bias = append([]float64(nil), s.bias...)
-	r.cur = s.cur
-	r.curOff = s.curOff
-	r.remaining = s.remaining
-	r.produced = s.produced
-	r.sinceCall = s.sinceCall
-	r.sinceAlloc = s.sinceAlloc
-	r.nextCtxCheck = s.nextCtxCheck
 	return r, nil
 }

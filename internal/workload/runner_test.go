@@ -171,17 +171,14 @@ func TestRNGCaptureFastPath(t *testing.T) {
 	}
 }
 
-// TestRunnerStateComplete is the reflection guard: every Runner field must be
-// classified as checkpointed (appearing in RunnerState, possibly under a
-// different representation) or explicitly derived/operational.
+// TestRunnerStateComplete is the reflection guard. Every Runner field is
+// classified as checkpointed (in RunnerState, possibly under a different
+// representation) or derived/operational, and every runnerState field an
+// assignment would share is on the deep-copy list that clone copies.
 func TestRunnerStateComplete(t *testing.T) {
-	covered := map[string]bool{
+	checkpointed := map[string]bool{
 		// p is captured as the profile name; src as the captured RNG state.
-		"p": true, "src": true,
-		"seed": true, "chunks": true, "bias": true,
-		"cur": true, "curOff": true, "remaining": true,
-		"produced": true, "sinceCall": true, "sinceAlloc": true,
-		"nextCtxCheck": true,
+		"runnerState": true, "p": true, "src": true,
 	}
 	operational := map[string]bool{
 		// m is runtime wiring; rng is a view over src; the rest are
@@ -194,12 +191,35 @@ func TestRunnerStateComplete(t *testing.T) {
 	typ := reflect.TypeOf(Runner{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if covered[name] == operational[name] {
+		if checkpointed[name] == operational[name] {
 			t.Errorf("workload.Runner field %q is not classified as checkpointed or derived; update State/NewRunnerFromState and this test", name)
 		}
 	}
-	st := reflect.TypeOf(RunnerState{})
-	if st.NumField() != len(covered) {
-		t.Errorf("RunnerState has %d fields, covered set has %d; keep them in sync", st.NumField(), len(covered))
+	deepCopied := map[string]bool{"chunks": true, "bias": true}
+	st := reflect.TypeOf(runnerState{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if shares := sharesStorage(f.Type); shares != deepCopied[f.Name] {
+			t.Errorf("workload.runnerState field %q: shares storage %v, on the deep-copy list %v; update clone and this test",
+				f.Name, shares, deepCopied[f.Name])
+		}
 	}
+}
+
+// sharesStorage reports whether assigning a value of type t leaves the
+// copy sharing storage with the original.
+func sharesStorage(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return sharesStorage(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if sharesStorage(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -135,12 +135,6 @@ func (p *Profile) Run(m *core.Machine, seed int64) error {
 // enough to stay invisible in the emission hot loop.
 const ctxCheckEvery = 8192
 
-// stillLive reports whether c is still in the live set (cheap check: the
-// burst target is invalidated on free, so this only guards warm-up edges).
-func stillLive(chunks []core.Ptr, c core.Ptr) bool {
-	return c.Raw != 0
-}
-
 func gap(per1K float64) uint64 {
 	if per1K <= 0 {
 		return 0
