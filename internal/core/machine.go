@@ -112,8 +112,9 @@ type Machine struct {
 
 // machineState is the machine's own simulated state: emission position
 // and counts plus the Watchdog, MTE and bounds-table bookkeeping. It is
-// the one field list checkpoints capture: Snapshot and Restore copy it
-// whole and clone its slice and map.
+// the one field list checkpoints capture: Snapshot copies it whole and
+// clones its slice and table, and Restore copies those two into the
+// machine's own buffers.
 type machineState struct {
 	// Scheme is the protection configuration being simulated.
 	Scheme instrument.Scheme
@@ -132,7 +133,9 @@ type machineState struct {
 	wdNextKey    uint64
 	wdLockCursor uint64
 	wdFreeLocks  []uint64
-	wdLockOf     map[uint64]uint64 // chunk base VA -> lock address
+	// wdLockOf maps a chunk base VA to its lock address. Free never
+	// deletes an entry: a stale pointer must still find its old lock.
+	wdLockOf heap.ChunkTable
 
 	// mteNext is MTE's deterministic allocation-tag cycle (see mte.go).
 	mteNext uint8
@@ -181,7 +184,6 @@ func New(cfg Config) (*Machine, error) {
 			codeSize:     cfg.CodeFootprint &^ 3,
 			sp:           kernel.StackTop,
 			wdLockCursor: kernel.ShadowBase,
-			wdLockOf:     make(map[uint64]uint64),
 		},
 		mteTags: mteTags,
 	}, nil
@@ -499,7 +501,7 @@ func (m *Machine) watchdogSetID(va, size uint64) uint64 {
 		lock = m.wdLockCursor
 		m.wdLockCursor += instrument.WDMetaBytes
 	}
-	m.wdLockOf[va] = lock
+	m.wdLockOf.Set(va, lock)
 	m.Mem.WriteU64(lock, m.wdNextKey)
 	m.emit(isa.Inst{Op: isa.OpWDSetID, Dest: m.allocReg(), Src1: isa.RegNone, Src2: isa.RegNone})
 	m.rawAccess(lock, true, DepFree)   // *(lock) = key
@@ -582,7 +584,7 @@ func (m *Machine) freeAOS(p Ptr) error {
 
 func (m *Machine) freeWatchdog(p Ptr) error {
 	va := p.VA()
-	if lock, ok := m.wdLockOf[va]; ok {
+	if lock, ok := m.wdLockOf.Get(va); ok {
 		m.Mem.WriteU64(lock, 0) // INVALID
 		m.rawAccess(lock, true, DepFree)
 		m.rawAccess(lock, true, DepFree) // add_free_list(id.lock)
@@ -716,7 +718,7 @@ func (m *Machine) StoreU64(p Ptr, off uint64, v uint64) error {
 // and compare identifiers (UAF + bounds detection for the baseline).
 func (m *Machine) watchdogCheck(p Ptr, va uint64) error {
 	base := p.VA()
-	lock, tracked := m.wdLockOf[base]
+	lock, tracked := m.wdLockOf.Get(base)
 	in := isa.Inst{Op: isa.OpWDCheck, Dest: isa.RegNone, Src1: m.lastALU, Src2: isa.RegNone}
 	if tracked {
 		in.Addr = lock

@@ -117,7 +117,7 @@ func (m *Machine) reallocAOS(p Ptr, size uint64) (Ptr, error) {
 // in place or moved, the old key is dead either way.
 func (m *Machine) reallocWatchdog(p Ptr, size uint64) (Ptr, error) {
 	va := p.VA()
-	if lock, ok := m.wdLockOf[va]; ok {
+	if lock, ok := m.wdLockOf.Get(va); ok {
 		m.Mem.WriteU64(lock, 0) // INVALID
 		m.rawAccess(lock, true, DepFree)
 		m.rawAccess(lock, true, DepFree) // add_free_list(id.lock)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 
 	"aos/internal/heap"
 	"aos/internal/kernel"
@@ -23,28 +22,19 @@ type MachineState struct {
 	mteTags *mem.State // nil unless the scheme tags memory
 }
 
-// clone returns a copy of s that shares no storage with it.
-func (s machineState) clone() machineState {
-	s.wdFreeLocks = append([]uint64(nil), s.wdFreeLocks...)
-	if s.wdLockOf != nil {
-		lockOf := make(map[uint64]uint64, len(s.wdLockOf))
-		maps.Copy(lockOf, s.wdLockOf)
-		s.wdLockOf = lockOf
-	}
-	return s
-}
-
 // Snapshot deep-copies the machine's simulated state. Any batched
 // instructions are flushed to the sink first, so the checkpoint boundary is
 // also a batch boundary and a later Restore resumes from a clean pipe.
 func (m *Machine) Snapshot() *MachineState {
 	m.Flush()
 	s := &MachineState{
-		machineState: m.machineState.clone(),
+		machineState: m.machineState,
 		mem:          m.Mem.Snapshot(),
 		heap:         m.Heap.Snapshot(),
 		os:           m.OS.Snapshot(),
 	}
+	s.wdFreeLocks = append([]uint64(nil), s.wdFreeLocks...)
+	s.wdLockOf = s.wdLockOf.Clone()
 	if m.mteTags != nil {
 		s.mteTags = m.mteTags.Snapshot()
 	}
@@ -68,7 +58,11 @@ func (m *Machine) Restore(s *MachineState) error {
 	m.Mem.Restore(s.mem)
 	m.Heap.Restore(s.heap)
 	m.OS.Restore(s.os)
-	m.machineState = s.machineState.clone()
+	own := m.machineState
+	m.machineState = s.machineState
+	m.wdFreeLocks = append(own.wdFreeLocks[:0], s.wdFreeLocks...)
+	own.wdLockOf.CopyFrom(&s.wdLockOf)
+	m.wdLockOf = own.wdLockOf
 	if s.mteTags != nil {
 		m.mteTags.Restore(s.mteTags)
 	}

@@ -78,7 +78,9 @@ func maxU64(a, b uint64) uint64 {
 // TestMachineSnapshotRestoreDeterminism: for every scheme, a machine
 // restored from a checkpoint must produce a byte-identical instruction
 // trace, counts, and exception log to the original running straight
-// through.
+// through. One machine is restored three times: fresh, then twice in
+// place over the buffers its continuation grew, which must neither keep
+// their old contents nor write through to the checkpoint.
 func TestMachineSnapshotRestoreDeterminism(t *testing.T) {
 	for _, s := range instrument.AllSchemes() {
 		s := s
@@ -101,14 +103,14 @@ func TestMachineSnapshotRestoreDeterminism(t *testing.T) {
 			wantCounts := a.Counts()
 			wantExcs := a.Exceptions()
 
-			for trial := 0; trial < 2; trial++ {
+			b, err := New(Config{Scheme: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.SetBatch(64)
+			for trial := 0; trial < 3; trial++ {
 				rB := &recSink{}
-				b, err := New(Config{Scheme: s})
-				if err != nil {
-					t.Fatal(err)
-				}
 				b.SetSink(rB)
-				b.SetBatch(64)
 				if err := b.Restore(snap); err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +144,8 @@ func TestMachineRestoreSchemeMismatch(t *testing.T) {
 // workload.Profile.Clone's completeness test. Every Machine field is
 // classified as checkpointed or operational, so a new field cannot
 // silently escape checkpoints, and every machineState field an assignment
-// would share is on the deep-copy list that clone copies.
+// would share is on the deep-copy list: Snapshot clones it and Restore
+// copies it into the machine's own buffer.
 func TestMachineSnapshotComplete(t *testing.T) {
 	checkpointed := map[string]bool{
 		// Mem, Heap, OS and mteTags snapshot themselves into MachineState.

@@ -117,8 +117,7 @@ func (a *Allocator) hardenedFree(ptr uint64) error {
 			return fmt.Errorf("%w (quarantine)", ErrDoubleFree)
 		}
 	}
-	wasLive := a.IsLive(ptr)
-	reqSize := a.sizes[ptr]
+	reqSize, wasLive := a.sizes.Get(ptr)
 	// Ownership validation: with a quarantine or canaries, a pointer the
 	// allocator never handed out is rejected outright — the crafted-free
 	// hole glibc leaves open (House of Spirit) is closed, and so is a

@@ -95,10 +95,10 @@ type allocState struct {
 	limit uint64 // hard segment end
 	top   uint64 // top (wilderness) chunk address
 
-	fastbins [8]uint64         // singly linked LIFO by chunk size class
-	tcache   [64]tcacheBin     // singly linked LIFO, capped
-	bins     [65]uint64        // doubly linked; [64] is the catch-all large bin
-	sizes    map[uint64]uint64 // payload sizes of live allocations (by ptr)
+	fastbins [8]uint64     // singly linked LIFO by chunk size class
+	tcache   [64]tcacheBin // singly linked LIFO, capped
+	bins     [65]uint64    // doubly linked; [64] is the catch-all large bin
+	sizes    ChunkTable    // payload sizes of live allocations (by ptr)
 	accesses []Access
 	stats    Stats
 
@@ -121,7 +121,6 @@ func New(m *mem.Memory, base, limit uint64) *Allocator {
 		base:  base,
 		brk:   base,
 		limit: base + limit,
-		sizes: make(map[uint64]uint64),
 	}}
 	// Materialize the initial top chunk.
 	a.extendBrk(brkIncrement)
@@ -278,7 +277,7 @@ func (a *Allocator) Malloc(size uint64) (uint64, error) {
 		return 0, err
 	}
 	ptr := chunk + HeaderSize
-	a.sizes[ptr] = size
+	a.sizes.Set(ptr, size)
 	if a.hard.Canary {
 		a.writeCanary(ptr, size)
 	}
@@ -369,7 +368,7 @@ func (a *Allocator) takeChunk(chunk, have, csize uint64) {
 // UsableSize returns the payload capacity of a live allocation (0 when ptr
 // is not a live allocation).
 func (a *Allocator) UsableSize(ptr uint64) uint64 {
-	if _, ok := a.sizes[ptr]; !ok {
+	if !a.IsLive(ptr) {
 		return 0
 	}
 	return a.chunkSizeNoTrace(ptr-HeaderSize) - HeaderSize
@@ -381,13 +380,12 @@ func (a *Allocator) chunkSizeNoTrace(chunk uint64) uint64 {
 
 // RequestedSize returns the originally requested size for a live pointer.
 func (a *Allocator) RequestedSize(ptr uint64) (uint64, bool) {
-	s, ok := a.sizes[ptr]
-	return s, ok
+	return a.sizes.Get(ptr)
 }
 
 // IsLive reports whether ptr is a currently live allocation.
 func (a *Allocator) IsLive(ptr uint64) bool {
-	_, ok := a.sizes[ptr]
+	_, ok := a.sizes.Get(ptr)
 	return ok
 }
 
@@ -424,8 +422,7 @@ func (a *Allocator) freeChunk(ptr uint64, quarantined bool) error {
 	}
 	inHeap := ptr >= a.base+HeaderSize && chunk+csize <= a.brk
 
-	wasLive := a.IsLive(ptr)
-	reqSize := a.sizes[ptr]
+	reqSize, wasLive := a.sizes.Get(ptr)
 
 	// tcache layer.
 	if csize <= MaxTcachePayload+HeaderSize {
@@ -486,7 +483,7 @@ func (a *Allocator) freeChunk(ptr uint64, quarantined bool) error {
 
 func (a *Allocator) noteFreed(ptr uint64, wasLive bool, reqSize uint64) {
 	if wasLive {
-		delete(a.sizes, ptr)
+		a.sizes.Delete(ptr)
 		a.stats.Live--
 		a.stats.BytesIn -= reqSize
 	}
@@ -549,34 +546,33 @@ func (a *Allocator) Memalign(alignment, size uint64) (uint64, error) {
 	}
 	// Worst case we need alignment-Align extra bytes of slack, plus room
 	// to keep the prefix a valid free chunk when we split it off.
-	p, err := a.Malloc(size + alignment + MinChunk)
+	pad := alignment + MinChunk
+	p, err := a.Malloc(size + pad)
 	if err != nil {
 		return 0, err
 	}
 	aligned := (p + alignment - 1) &^ (alignment - 1)
-	if aligned == p {
-		return p, nil
+	if aligned != p {
+		if aligned-p < MinChunk {
+			aligned += alignment
+		}
+		// Split the chunk: [chunk .. aligned-16) becomes a free chunk,
+		// the remainder becomes the aligned allocation.
+		chunk := p - HeaderSize
+		csize := a.chunkSize(chunk)
+		prefix := (aligned - HeaderSize) - chunk
+		newChunk := chunk + prefix
+		flags := a.sizeWord(chunk) & prevInUse
+		a.setHeader(chunk, prefix|flags)
+		a.setHeader(newChunk, (csize-prefix)|0) // PREV_INUSE=0: prefix is free
+		a.setPrevSize(newChunk, prefix)
+		a.binPush(chunk, prefix)
+		a.sizes.Delete(p)
 	}
-	if aligned-p < MinChunk {
-		aligned += alignment
-	}
-	// Split the chunk: [chunk .. aligned-16) becomes a free chunk, the
-	// remainder becomes the aligned allocation.
-	chunk := p - HeaderSize
-	csize := a.chunkSize(chunk)
-	prefix := (aligned - HeaderSize) - chunk
-	newChunk := chunk + prefix
-	flags := a.sizeWord(chunk) & prevInUse
-	a.setHeader(chunk, prefix|flags)
-	a.setHeader(newChunk, (csize-prefix)|0) // PREV_INUSE=0: prefix is free
-	a.setPrevSize(newChunk, prefix)
-	a.binPush(chunk, prefix)
-
-	reqSize := a.sizes[p]
-	delete(a.sizes, p)
-	a.sizes[aligned] = size
-	_ = reqSize
-	a.stats.BytesIn -= (size + alignment + MinChunk) - size
+	// Either way the allocation is size bytes at aligned, not the padded
+	// request Malloc recorded.
+	a.sizes.Set(aligned, size)
+	a.stats.BytesIn -= pad
 	if a.hard.Canary {
 		a.writeCanary(aligned, size)
 	}
@@ -602,7 +598,7 @@ func (a *Allocator) Realloc(ptr, size uint64) (uint64, error) {
 	if ptr == 0 {
 		return a.Malloc(size)
 	}
-	old, ok := a.sizes[ptr]
+	old, ok := a.sizes.Get(ptr)
 	if !ok {
 		return 0, ErrInvalidFree
 	}
@@ -615,7 +611,7 @@ func (a *Allocator) Realloc(ptr, size uint64) (uint64, error) {
 	if chunkSizeFor(size+a.canarySlack()) <= a.chunkSizeNoTrace(ptr-HeaderSize) {
 		// Fits in place.
 		a.stats.BytesIn += size - old
-		a.sizes[ptr] = size
+		a.sizes.Set(ptr, size)
 		if a.hard.Canary {
 			a.writeCanary(ptr, size)
 		}

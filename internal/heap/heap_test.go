@@ -2,6 +2,7 @@ package heap
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -452,5 +453,68 @@ func TestMemalignInterleaved(t *testing.T) {
 	}
 	if a.Stats().Live != 0 {
 		t.Errorf("live = %d", a.Stats().Live)
+	}
+}
+
+// TestMemalignAccounting covers both Memalign paths. After a 24-byte
+// filler, Malloc's own pointer for the padded request is already 32-byte
+// aligned and is returned as is; without it, the pointer must be split
+// off a free prefix. Either way the allocation is the requested 100
+// bytes: its RequestedSize, its share of BytesIn, and (hardened) the
+// canary right after its last byte.
+func TestMemalignAccounting(t *testing.T) {
+	for _, filler := range []bool{false, true} {
+		for _, hard := range []Hardening{{}, {Canary: true}} {
+			a, m := newTestAllocator(t)
+			a.SetHardening(hard)
+			name := fmt.Sprintf("filler=%v canary=%v", filler, hard.Canary)
+			// Malloc carves the padded request at start. Its pointer,
+			// start+16, is 32-aligned only after the filler; otherwise a
+			// free prefix is cut off up to the first 32-aligned pointer
+			// at least MinChunk further on.
+			padded := chunkSizeFor(100 + 32 + MinChunk + a.canarySlack())
+			start, prefix := uint64(testBase), uint64(48)
+			if filler {
+				f, err := a.Malloc(24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start, prefix = f-HeaderSize+chunkSizeFor(24+a.canarySlack()), 0
+			}
+			before := a.Stats().BytesIn
+			p, err := a.Memalign(32, 100)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if p != start+HeaderSize+prefix || a.chunkSizeNoTrace(p-HeaderSize) != padded-prefix {
+				t.Fatalf("%s: Memalign(32, 100) = %#x in a %d-byte chunk, want %#x in %d bytes",
+					name, p, a.chunkSizeNoTrace(p-HeaderSize), start+HeaderSize+prefix, padded-prefix)
+			}
+			if got, ok := a.RequestedSize(p); !ok || got != 100 {
+				t.Errorf("%s: RequestedSize = %d, %v; want 100", name, got, ok)
+			}
+			if got := a.Stats().BytesIn - before; got != 100 {
+				t.Errorf("%s: BytesIn grew by %d, want 100", name, got)
+			}
+			if err := a.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if hard.Canary {
+				if got := m.ReadU64(p + 100); got != canaryWord(p) {
+					t.Errorf("%s: word after the payload is %#x, not the canary", name, got)
+				}
+				m.WriteU8(p+100, 0) // a one-byte overflow
+				if err := a.Free(p); !errors.Is(err, ErrCanaryClobbered) {
+					t.Errorf("%s: Free after a one-byte overflow = %v, want ErrCanaryClobbered", name, err)
+				}
+				continue
+			}
+			if err := a.Free(p); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := a.Stats().BytesIn; got != before {
+				t.Errorf("%s: BytesIn after Free = %d, want %d", name, got, before)
+			}
+		}
 	}
 }

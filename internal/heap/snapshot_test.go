@@ -2,7 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -38,7 +37,8 @@ func heapChurn(t *testing.T, a *Allocator, live []uint64) ([]uint64, []uint64) {
 
 // TestAllocatorSnapshotRestoreDeterminism: a restored allocator (plus its
 // restored memory) must hand out the exact same pointer sequence as the
-// original continuing straight-line, and allocators restored from one
+// original continuing straight-line, whether it is fresh or restored in
+// place over its own grown buffers, and allocators restored from one
 // snapshot must share no storage with it or with each other.
 func TestAllocatorSnapshotRestoreDeterminism(t *testing.T) {
 	hardened := Hardening{QuarantineDepth: 8, Canary: true, PoisonOnFree: true}
@@ -66,23 +66,35 @@ func TestAllocatorSnapshotRestoreDeterminism(t *testing.T) {
 		}
 		ms := m.Snapshot()
 		as := a.Snapshot()
+		checkUnshared(t, name, a, as)
 		liveAtSnap := append([]uint64(nil), live...)
-		sizesAtSnap := maps.Clone(a.sizes)
+		sizesAtSnap := a.sizes.Clone()
 		quarantineAtSnap := append([]uint64(nil), a.quarantine...)
-		restored := func() *Allocator {
-			m2 := mem.New()
-			m2.Restore(ms)
-			b := New(m2, 0x2000_0000, 64<<20)
+		restoreInto := func(b *Allocator) {
+			b.mem.Restore(ms)
 			b.Restore(as)
+			checkUnshared(t, name, b, as)
+		}
+		restored := func() *Allocator {
+			b := New(mem.New(), 0x2000_0000, 64<<20)
+			restoreInto(b)
 			return b
 		}
 
 		want, _ := heapChurn(t, a, live)
 		statsAfter := a.stats
 
+		// In place: the snapshot is copied into a's own live-size table,
+		// which its continuation grew, so a second continuation repeats
+		// the first.
+		restoreInto(a)
+		if got, _ := heapChurn(t, a, append([]uint64(nil), liveAtSnap...)); !reflect.DeepEqual(got, want) || a.stats != statsAfter {
+			t.Fatalf("%s: allocator restored in place diverged", name)
+		}
+
 		b := restored()
-		if !maps.Equal(b.sizes, sizesAtSnap) || !slices.Equal(b.quarantine, quarantineAtSnap) {
-			t.Fatalf("%s: the original's continuation reached the snapshot's live-size map or quarantine", name)
+		if !sameTable(&b.sizes, &sizesAtSnap) || !slices.Equal(b.quarantine, quarantineAtSnap) {
+			t.Fatalf("%s: a continuation reached the snapshot's live-size table or quarantine", name)
 		}
 		got, _ := heapChurn(t, b, append([]uint64(nil), liveAtSnap...))
 		if !reflect.DeepEqual(got, want) {
@@ -98,15 +110,55 @@ func TestAllocatorSnapshotRestoreDeterminism(t *testing.T) {
 		alone := restored()
 		mustFree(t, alone, pc)
 		wantLog := append([]Access(nil), alone.DrainAccesses()...)
-		wantSizes := maps.Clone(alone.sizes)
+		wantSizes := alone.sizes.Clone()
 		wantQuarantine := append([]uint64(nil), alone.quarantine...)
 		c, d := restored(), restored()
 		mustFree(t, c, pc)
 		mustFree(t, d, pd)
-		if !reflect.DeepEqual(c.DrainAccesses(), wantLog) || !maps.Equal(c.sizes, wantSizes) ||
+		if !reflect.DeepEqual(c.DrainAccesses(), wantLog) || !sameTable(&c.sizes, &wantSizes) ||
 			!slices.Equal(c.quarantine, wantQuarantine) {
-			t.Fatalf("%s: a free on one restored allocator reached another's access log, live-size map or quarantine", name)
+			t.Fatalf("%s: a free on one restored allocator reached another's access log, live-size table or quarantine", name)
 		}
+	}
+}
+
+// checkUnshared fails if a keeps its access log, quarantine or live-size
+// slots in the snapshot's arrays. Sharing can hide from the behavioural
+// checks: a FIFO or log that only appends past the snapshot's length
+// never overwrites what the snapshot sees until a drain or an in-place
+// restore does.
+func checkUnshared(t *testing.T, name string, a *Allocator, s *State) {
+	t.Helper()
+	if sameArray(a.accesses, s.accesses) || sameArray(a.quarantine, s.quarantine) || sameArray(a.sizes.slots, s.sizes.slots) {
+		t.Fatalf("%s: an allocator shares its access log, quarantine or live-size slots with a snapshot", name)
+	}
+}
+
+func sameArray[T any](x, y []T) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
+
+// sameTable reports whether two tables hold the same slots. Tables built
+// by the same operations from the same state lay their keys out alike, so
+// this is map equality for the histories compared here.
+func sameTable(x, y *ChunkTable) bool {
+	return x.n == y.n && slices.Equal(x.slots, y.slots)
+}
+
+// TestAllocatorRestoreAllocatesNothing: Restore copies the live-size
+// table, access log and quarantine into the allocator's own buffers, so
+// restoring its own snapshot allocates nothing however many chunks live.
+func TestAllocatorRestoreAllocatesNothing(t *testing.T) {
+	a, _ := newTestAllocator(t)
+	for i := 0; i < 30_000; i++ {
+		if _, err := a.Malloc(16 + uint64(i%29)*16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := a.Snapshot()
+	if n := s.sizes.n; n != 30_000 {
+		t.Fatalf("snapshot holds %d live sizes, want 30000", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { a.Restore(s) }); n != 0 {
+		t.Fatalf("Restore allocated %v times per run, want 0", n)
 	}
 }
 
@@ -119,8 +171,8 @@ func mustFree(t *testing.T, a *Allocator, p uint64) {
 
 // TestAllocatorSnapshotComplete is the reflection guard. Every Allocator
 // field is classified as checkpointed or operational, and every allocState
-// field an assignment would share is on the deep-copy list that clone
-// copies.
+// field an assignment would share is on the deep-copy list: Snapshot
+// clones it and Restore copies it into the allocator's own buffer.
 func TestAllocatorSnapshotComplete(t *testing.T) {
 	checkpointed := map[string]bool{"allocState": true}
 	operational := map[string]bool{

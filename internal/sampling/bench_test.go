@@ -11,15 +11,17 @@ import (
 
 // BenchmarkCheckpointRestore times Machine.Restore of a checkpoint taken
 // right after the workload's set-up: gcc/AOS holds 30,000 live chunks in
-// its heap and bounds table, lbm/MTE tags a heap of a few large arrays.
-// Restoring shares the address space, the table's rows and the tags page
-// by page, so the cost tracks the touched pages and the allocator's live
-// chunks, not the bytes behind them.
+// its heap and bounds table, gcc/Watchdog as many in its heap and lock
+// map, and lbm/MTE tags a heap of a few large arrays. Restoring shares
+// the address space, the table's rows and the tags page by page, and
+// copies the allocator's live sizes and Watchdog's lock map as one flat
+// slot slice each into the machine's own, so the cost tracks the touched
+// pages plus one memory copy per table, not the bytes behind them.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	for _, tc := range []struct {
 		bench  string
 		scheme instrument.Scheme
-	}{{"gcc", instrument.AOS}, {"lbm", instrument.MTE}} {
+	}{{"gcc", instrument.AOS}, {"gcc", instrument.Watchdog}, {"lbm", instrument.MTE}} {
 		b.Run(tc.bench+"/"+tc.scheme.String(), func(b *testing.B) {
 			p, ok := workload.ByName(tc.bench)
 			if !ok {
