@@ -38,9 +38,9 @@ type simspeedRun struct {
 }
 
 // simspeedSampledRun is one timed sampled-mode run. The first run is cold
-// (it fast-forwards to every window boundary and populates the checkpoint
-// store); later runs resume from the store and pay only detailed-window
-// plus tail-gap cost.
+// (it fast-forwards to every window boundary and to the end of the run,
+// and populates the checkpoint store); later runs resume from the store
+// and pay only the detailed windows plus one restore per boundary.
 type simspeedSampledRun struct {
 	Resumed              bool    `json:"resumed"`
 	WallNS               int64   `json:"wall_ns"`
@@ -87,12 +87,11 @@ type simspeedDoc struct {
 
 // benchSampled measures the sampled mode's effective throughput. The
 // sampled region is 64x the exact measurement's budget: a resumed run
-// still fast-forwards one tail gap (region/windows instructions, for
-// architectural exactness), so effective throughput asymptotes at
-// windows x the fast-forward rate — a longer region with more windows is
-// where sampling's advantage actually lives. Exact runs of that length
-// would just take 64x longer at the same rate, so the per-second figures
-// stay directly comparable.
+// restores every window start and the end of the run, so its wall is its
+// detailed windows plus windows+1 restores, whatever the gaps between them
+// — a longer region is where sampling's advantage actually lives. Exact
+// runs of that length would just take 64x longer at the same rate, so the
+// per-second figures stay directly comparable.
 func benchSampled(insts uint64, runs int) (*simspeedSampled, error) {
 	spec := experiments.SimSpec{
 		Benchmark: "milc", Scheme: "AOS", Instructions: 64 * insts, Seed: 1,

@@ -546,7 +546,10 @@ func (a *Allocator) Memalign(alignment, size uint64) (uint64, error) {
 	}
 	// Worst case we need alignment-Align extra bytes of slack, plus room
 	// to keep the prefix a valid free chunk when we split it off.
+	// Malloc counts the padded request in the peak; keep the peak from
+	// before the call and raise it only to the final BytesIn below.
 	pad := alignment + MinChunk
+	peak := a.stats.MaxBytes
 	p, err := a.Malloc(size + pad)
 	if err != nil {
 		return 0, err
@@ -573,6 +576,7 @@ func (a *Allocator) Memalign(alignment, size uint64) (uint64, error) {
 	// request Malloc recorded.
 	a.sizes.Set(aligned, size)
 	a.stats.BytesIn -= pad
+	a.stats.MaxBytes = max(peak, a.stats.BytesIn)
 	if a.hard.Canary {
 		a.writeCanary(aligned, size)
 	}

@@ -460,8 +460,8 @@ func TestMemalignInterleaved(t *testing.T) {
 // filler, Malloc's own pointer for the padded request is already 32-byte
 // aligned and is returned as is; without it, the pointer must be split
 // off a free prefix. Either way the allocation is the requested 100
-// bytes: its RequestedSize, its share of BytesIn, and (hardened) the
-// canary right after its last byte.
+// bytes: its RequestedSize, its share of BytesIn and of the peak
+// MaxBytes, and (hardened) the canary right after its last byte.
 func TestMemalignAccounting(t *testing.T) {
 	for _, filler := range []bool{false, true} {
 		for _, hard := range []Hardening{{}, {Canary: true}} {
@@ -481,7 +481,7 @@ func TestMemalignAccounting(t *testing.T) {
 				}
 				start, prefix = f-HeaderSize+chunkSizeFor(24+a.canarySlack()), 0
 			}
-			before := a.Stats().BytesIn
+			before, peak := a.Stats().BytesIn, a.Stats().MaxBytes
 			p, err := a.Memalign(32, 100)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -495,6 +495,11 @@ func TestMemalignAccounting(t *testing.T) {
 			}
 			if got := a.Stats().BytesIn - before; got != 100 {
 				t.Errorf("%s: BytesIn grew by %d, want 100", name, got)
+			}
+			// The padded request Memalign carves is not payload: the peak
+			// rises to the new BytesIn and no further.
+			if got, want := a.Stats().MaxBytes, max(peak, before+100); got != want {
+				t.Errorf("%s: MaxBytes = %d, want %d", name, got, want)
 			}
 			if err := a.Validate(); err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -8,6 +8,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // PageBits is the log2 of the backing page size.
@@ -21,76 +22,124 @@ const offMask = PageSize - 1
 // Memory is a sparse byte-addressable address space. The zero value is not
 // usable; call New.
 type Memory struct {
-	pages map[uint64]*[PageSize]byte
+	// pageTable maps page numbers to backing pages; it is all a
+	// checkpoint captures (see snapshot.go).
+	pageTable
 
-	// PagesTouched counts distinct pages ever materialized (memory
-	// footprint proxy).
-	pagesTouched uint64
-
-	// shared lists pages whose backing arrays are co-owned by a Snapshot
-	// (copy-on-write): a write to a shared page copies it first, so the
-	// snapshot's view stays frozen while the live space moves on. nil —
-	// the common case for spaces that were never snapshotted — keeps the
-	// write path at a single pointer compare.
-	shared map[uint64]struct{}
+	// gen is the space's generation: a page whose slot carries it is
+	// private to this space, and any other page may be shared with a
+	// snapshot or another space, so a write copies it first (see wpage).
+	// A new space is at generation 0, like every other new space, which
+	// is safe because none of them shares a page; Snapshot and Restore
+	// move the space to a fresh generation, which marks every page it
+	// then holds as shared in one step.
+	gen uint64
 }
+
+// pageTable is a flat open-addressed table of pages in the style of
+// heap.ChunkTable: a power-of-two slot slice, doubled before it passes
+// half full, a Fibonacci hash of the page number picking a key's home
+// slot and linear probing from there. Pages are never removed, so it needs
+// no deletion. A nil page marks an empty slot (page number 0 is a real
+// page).
+type pageTable struct {
+	slots []pageSlot
+	n     int  // pages present
+	shift uint // 64 - log2(len(slots))
+}
+
+// pageSlot holds one page: its number, its backing array and the
+// generation of the space that last made it private.
+type pageSlot struct {
+	pn   uint64
+	page *[PageSize]byte
+	gen  uint64
+}
+
+const (
+	// minPageBits is log2 of a new space's slot count.
+	minPageBits = 4
+	// fibHash is 2^64 divided by the golden ratio.
+	fibHash = 0x9E3779B97F4A7C15
+)
+
+// lastGen hands out the generations Snapshot and Restore take. It is
+// process-wide because any State may be restored into any Memory,
+// concurrently too: a space that has shared its pages never again holds a
+// generation any other space or any State's page carries.
+var lastGen atomic.Uint64
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
+	return &Memory{pageTable: pageTable{slots: make([]pageSlot, 1<<minPageBits), shift: 64 - minPageBits}}
 }
 
-func (m *Memory) page(addr uint64, create bool) *[PageSize]byte {
-	pn := addr >> PageBits
-	p := m.pages[pn]
-	if p == nil && create {
-		p = new([PageSize]byte)
-		m.pages[pn] = p
-		m.pagesTouched++
+// slot returns page pn's slot, or the empty slot its probe run ends at.
+func (t *pageTable) slot(pn uint64) *pageSlot {
+	mask := len(t.slots) - 1
+	for i := int(pn * fibHash >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.page == nil || s.pn == pn {
+			return s
+		}
 	}
-	return p
 }
 
-// wpage is page for mutating callers: it additionally unshares a page
-// co-owned by a snapshot before handing it out, so every write path is a
-// copy-on-write point. Newly materialized pages are private by
-// construction (a snapshot can only hold pages that existed when it was
-// taken).
+// page returns the backing page holding addr, or nil when it was never
+// written. Reads may use it whoever owns it.
+func (m *Memory) page(addr uint64) *[PageSize]byte {
+	return m.slot(addr >> PageBits).page
+}
+
+// wpage is page for mutating callers: it copies a page this space does
+// not own before handing it out, so every write path is a copy-on-write
+// point, and with create it materializes an absent page. A new page is
+// private by construction.
 func (m *Memory) wpage(addr uint64, create bool) *[PageSize]byte {
 	pn := addr >> PageBits
-	p := m.pages[pn]
-	if p == nil {
+	s := m.slot(pn)
+	if s.page == nil {
 		if !create {
 			return nil
 		}
-		p = new([PageSize]byte)
-		m.pages[pn] = p
-		m.pagesTouched++
-		return p
+		if 2*(m.n+1) > len(m.slots) {
+			m.grow()
+			s = m.slot(pn)
+		}
+		*s = pageSlot{pn: pn, page: new([PageSize]byte), gen: m.gen}
+		m.n++
+	} else if s.gen != m.gen {
+		p := new([PageSize]byte)
+		*p = *s.page
+		s.page, s.gen = p, m.gen
 	}
-	if m.shared != nil {
-		if _, ok := m.shared[pn]; ok {
-			q := *p
-			p = &q
-			m.pages[pn] = p
-			delete(m.shared, pn)
+	return s.page
+}
+
+// grow doubles the table, moving every slot to its new home.
+func (m *Memory) grow() {
+	old := m.slots
+	m.slots = make([]pageSlot, 2*len(old))
+	m.shift--
+	for _, s := range old {
+		if s.page != nil {
+			*m.slot(s.pn) = s
 		}
 	}
-	return p
 }
 
 // PagesTouched returns the number of distinct pages materialized so far.
-func (m *Memory) PagesTouched() uint64 { return m.pagesTouched }
+func (m *Memory) PagesTouched() uint64 { return uint64(m.n) }
 
 // FootprintBytes returns the touched footprint in bytes.
-func (m *Memory) FootprintBytes() uint64 { return m.pagesTouched * PageSize }
+func (m *Memory) FootprintBytes() uint64 { return m.PagesTouched() * PageSize }
 
 // View returns the n bytes at addr (within one page) as a read-only window
 // onto the backing page, or nil when the page was never written. The page
 // may be shared with a snapshot, and a write to it leaves the window stale:
 // write through WriteU64 and friends, then take a new view.
 func (m *Memory) View(addr, n uint64) []byte {
-	p := m.page(addr, false)
+	p := m.page(addr)
 	if p == nil {
 		return nil
 	}
@@ -100,7 +149,7 @@ func (m *Memory) View(addr, n uint64) []byte {
 
 // ReadU8 reads one byte; untouched memory reads as zero.
 func (m *Memory) ReadU8(addr uint64) byte {
-	if p := m.page(addr, false); p != nil {
+	if p := m.page(addr); p != nil {
 		return p[addr&offMask]
 	}
 	return 0
@@ -115,7 +164,7 @@ func (m *Memory) WriteU8(addr uint64, v byte) {
 func (m *Memory) ReadU64(addr uint64) uint64 {
 	off := addr & offMask
 	if off <= PageSize-8 {
-		p := m.page(addr, false)
+		p := m.page(addr)
 		if p == nil {
 			return 0
 		}
@@ -142,7 +191,7 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 func (m *Memory) ReadU32(addr uint64) uint32 {
 	off := addr & offMask
 	if off <= PageSize-4 {
-		p := m.page(addr, false)
+		p := m.page(addr)
 		if p == nil {
 			return 0
 		}
@@ -173,7 +222,7 @@ func (m *Memory) ReadBytes(addr uint64, dst []byte) {
 		if n > uint64(len(dst)) {
 			n = uint64(len(dst))
 		}
-		if p := m.page(addr, false); p != nil {
+		if p := m.page(addr); p != nil {
 			copy(dst[:n], p[off:off+n])
 		} else {
 			for i := uint64(0); i < n; i++ {
@@ -233,7 +282,7 @@ func (m *Memory) Copy(dst, src, size uint64) {
 			n = size
 		}
 		soff, doff := src&offMask, dst&offMask
-		if sp := m.page(src, false); sp != nil {
+		if sp := m.page(src); sp != nil {
 			copy(m.wpage(dst, true)[doff:doff+n], sp[soff:soff+n])
 		} else if dp := m.wpage(dst, false); dp != nil {
 			clear(dp[doff : doff+n])
@@ -246,5 +295,5 @@ func (m *Memory) Copy(dst, src, size uint64) {
 
 // String summarizes the space for debugging.
 func (m *Memory) String() string {
-	return fmt.Sprintf("mem{%d pages, %d KiB}", m.pagesTouched, m.pagesTouched*PageSize/1024)
+	return fmt.Sprintf("mem{%d pages, %d KiB}", m.n, m.FootprintBytes()/1024)
 }

@@ -67,24 +67,29 @@ func TestSnapshotRestoreThenDiverge(t *testing.T) {
 	if got := c.ReadU64(0); got != 0 {
 		t.Fatalf("snapshot corrupted: c = %d, want 0", got)
 	}
-	// Unwritten pages still share backing arrays (the point of COW).
-	if a.pages[1] != b.pages[1] || a.pages[1] != s.pages[1] {
+	// Unwritten pages still share backing arrays (the point of COW), and
+	// a written one is the writer's own.
+	if a.slot(1).page != b.slot(1).page || a.slot(1).page != s.slot(1).page {
 		t.Fatal("clean pages should share one backing array")
+	}
+	if a.slot(0).page == s.slot(0).page || a.slot(0).page == b.slot(0).page || b.slot(0).page == s.slot(0).page {
+		t.Fatal("a written page should be private to its space")
 	}
 }
 
 // TestMemorySnapshotComplete is the reflection guard: every Memory field
 // must be classified as snapshotted or explicitly operational, so a new
-// field cannot silently escape checkpoints.
+// field cannot silently escape checkpoints, and State must carry exactly
+// the snapshotted ones. Every page-table field that shares storage must
+// be on the deep-copy list, and Snapshot and Restore must give each side
+// its own slot slice.
 func TestMemorySnapshotComplete(t *testing.T) {
-	covered := map[string]bool{
-		"pages":        true,
-		"pagesTouched": true,
-	}
+	covered := map[string]bool{"pageTable": true}
 	operational := map[string]bool{
-		// shared is COW bookkeeping for the live side; a snapshot's view
-		// never needs it (State is immutable by construction).
-		"shared": true,
+		// gen is the live side's copy-on-write marker; a snapshot's view
+		// never needs it (State is immutable by construction), and a
+		// restore takes a fresh one.
+		"gen": true,
 	}
 	typ := reflect.TypeOf(Memory{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -97,5 +102,32 @@ func TestMemorySnapshotComplete(t *testing.T) {
 	st := reflect.TypeOf(State{})
 	if st.NumField() != len(covered) {
 		t.Errorf("mem.State has %d fields, covered set has %d; keep them in sync", st.NumField(), len(covered))
+	}
+	for i := 0; i < st.NumField(); i++ {
+		if name := st.Field(i).Name; !covered[name] {
+			t.Errorf("mem.State field %q is not in the covered set", name)
+		}
+	}
+	deepCopied := map[string]bool{"slots": true}
+	pt := reflect.TypeOf(pageTable{})
+	for i := 0; i < pt.NumField(); i++ {
+		f := pt.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Pointer:
+			if !deepCopied[f.Name] {
+				t.Errorf("mem.pageTable field %q shares storage but is not on the deep-copy list", f.Name)
+			}
+		}
+	}
+	m := New()
+	m.WriteU64(0, 1)
+	s := m.Snapshot()
+	if &s.slots[0] == &m.slots[0] {
+		t.Error("Snapshot shares the live space's slot slice")
+	}
+	r := New()
+	r.Restore(s)
+	if &r.slots[0] == &s.slots[0] {
+		t.Error("Restore shares the snapshot's slot slice")
 	}
 }

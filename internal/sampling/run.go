@@ -27,11 +27,12 @@ type Config struct {
 	// Schedule must be normalized (Schedule.Normalize) against the
 	// profile's instruction budget.
 	Schedule Schedule
-	// Store, when non-nil, enables checkpoint reuse: window-boundary
-	// checkpoints are looked up before fast-forwarding and stored after.
-	// A fully warm store turns the run into pure detailed windows plus
-	// one tail gap — this is where the order-of-magnitude effective
-	// speedup comes from.
+	// Store, when non-nil, enables checkpoint reuse at every boundary —
+	// each window start and the end of the run: a boundary's checkpoint
+	// is restored when the store holds it, and stored after the cell
+	// fast-forwards to it otherwise. A fully warm store turns the run into
+	// its detailed windows plus Windows+1 restores — this is where the
+	// order-of-magnitude effective speedup comes from.
 	Store *Store
 	// Key identifies the simulation cell for checkpoint addressing; the
 	// Schedule and Boundary fields are filled in by Run.
@@ -51,8 +52,8 @@ type Result struct {
 	// subtraction — identical whether the run reached the boundary by
 	// fast-forwarding or by checkpoint restore.
 	WarmCounts isa.Counts
-	// Hits/Misses count this run's checkpoint lookups (subset of the
-	// store's lifetime counters).
+	// Hits/Misses count this run's checkpoint lookups, one per boundary
+	// (subset of the store's lifetime counters).
 	Hits   int
 	Misses int
 }
@@ -63,8 +64,9 @@ type Result struct {
 // freshly constructed — Run positions them itself, restoring from the
 // store when it can.
 //
-// The functional machine executes every instruction of the run regardless
-// of mode, so architectural outputs — heap stats, exception logs, counts —
+// The functional machine executes every instruction of a cold run
+// regardless of mode, and a resumed run restores the states a cold run
+// reached, so architectural outputs — heap stats, exception logs, counts —
 // are exact; only cycle-domain quantities are estimated. The run is
 // deterministic: a cold run and a checkpoint-resumed run produce
 // byte-identical estimates and architectural state.
@@ -96,36 +98,37 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 	}
 
 	windows := make([]WindowStat, 0, sched.Windows)
-	for i := 0; i < sched.Windows; i++ {
-		ustart := sched.Start(i)
+	// Boundary i < Windows is window i's start and boundary Windows is the
+	// end of the run. The cell reaches each one by restoring its
+	// checkpoint, or by fast-forwarding to it and storing one.
+	for i := 0; i <= sched.Windows; i++ {
+		at := total
+		if i < sched.Windows {
+			at = sched.Start(i)
+		}
 		var key string
-		restored := false
+		var cp *Checkpoint
 		if cfg.Store != nil {
 			k := cfg.Key
 			k.Schedule = sched
 			k.Boundary = i
 			key = k.Hash()
-			if cp, ok := cfg.Store.Get(key); ok {
-				if err := m.Restore(cp.Machine); err != nil {
-					return nil, fmt.Errorf("sampling: window %d: %w", i, err)
-				}
-				if err := c.Restore(cp.Core); err != nil {
-					return nil, fmt.Errorf("sampling: window %d: %w", i, err)
-				}
-				if r, err = workload.NewRunnerFromState(p, m, cp.Runner); err != nil {
-					return nil, fmt.Errorf("sampling: window %d: %w", i, err)
-				}
+			var ok bool
+			if cp, ok = cfg.Store.Get(key); ok {
 				res.Hits++
-				restored = true
 			} else {
 				res.Misses++
 			}
 		}
-		if !restored {
-			// Fast-forward (functionally warming) to the window start.
-			// The workload's setup phase also runs in FF mode: its
-			// emissions only warm state the first window's U segment
-			// re-settles anyway.
+		if cp != nil {
+			if r, err = cp.restore(p, m, c, r); err != nil {
+				return nil, fmt.Errorf("sampling: boundary %d: %w", i, err)
+			}
+		} else {
+			// Fast-forward (functionally warming) to the boundary. The
+			// workload's setup phase also runs in FF mode: its emissions
+			// only warm state the first window's U segment re-settles
+			// anyway.
 			c.SetMode(cpu.ModeFastForward)
 			beginSeg()
 			if r == nil {
@@ -133,7 +136,7 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 					return nil, err
 				}
 			}
-			if err := r.RunTo(ctx, ustart, total); err != nil {
+			if err := r.RunTo(ctx, at, total); err != nil {
 				return nil, err
 			}
 			m.Flush()
@@ -151,6 +154,10 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 				})
 			}
 		}
+		c.SetMode(cpu.ModeDetailed)
+		if i == sched.Windows {
+			break
+		}
 
 		if i == 0 {
 			res.WarmCounts = m.Counts()
@@ -158,31 +165,19 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 
 		// U: detailed warmup (re-settles pipeline/queue transients after
 		// the mode switch or restore), then W: the measurement window.
-		c.SetMode(cpu.ModeDetailed)
 		beginSeg()
-		if err := r.RunTo(ctx, ustart+sched.Detail, total); err != nil {
+		if err := r.RunTo(ctx, at+sched.Detail, total); err != nil {
 			return nil, err
 		}
 		m.Flush()
 		wc, wi := c.LastCommit(), c.Insts()
-		if err := r.RunTo(ctx, ustart+sched.Detail+sched.Window, total); err != nil {
+		if err := r.RunTo(ctx, at+sched.Detail+sched.Window, total); err != nil {
 			return nil, err
 		}
 		m.Flush()
 		endSeg(true)
 		windows = append(windows, WindowStat{Cycles: c.LastCommit() - wc, Insts: c.Insts() - wi})
 	}
-
-	// Tail: finish the run functionally so architectural outputs cover
-	// the full budget.
-	c.SetMode(cpu.ModeFastForward)
-	beginSeg()
-	if err := r.RunTo(ctx, total, total); err != nil {
-		return nil, err
-	}
-	m.Flush()
-	endSeg(false)
-	c.SetMode(cpu.ModeDetailed)
 
 	// c.Insts() counts consumption since the measurement-region reset —
 	// in both modes — so it is the exact detailed-equivalent denominator.
@@ -192,4 +187,19 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 	}
 	res.Est = est
 	return res, nil
+}
+
+// restore positions a cell at the checkpoint: the machine and core in
+// place, and the runner in place too once the cell has one (r non-nil).
+func (cp *Checkpoint) restore(p *workload.Profile, m *core.Machine, c *cpu.Core, r *workload.Runner) (*workload.Runner, error) {
+	if err := m.Restore(cp.Machine); err != nil {
+		return nil, err
+	}
+	if err := c.Restore(cp.Core); err != nil {
+		return nil, err
+	}
+	if r == nil {
+		return workload.NewRunnerFromState(p, m, cp.Runner)
+	}
+	return r, r.Restore(cp.Runner)
 }

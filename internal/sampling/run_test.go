@@ -35,8 +35,10 @@ func testSchedule() Schedule {
 
 // TestSampledColdVsResumedByteIdentical: a run resumed entirely from the
 // checkpoint store must produce the byte-identical estimate, architectural
-// counts, and timing statistics of the cold run that populated the store —
-// for every protection scheme.
+// state (counts, exception log, heap statistics, bounds-table resizes) and
+// timing statistics of the cold run that populated the store — for every
+// protection scheme — and must run only its detailed windows: every
+// boundary, the end of the run included, is a restore.
 func TestSampledColdVsResumedByteIdentical(t *testing.T) {
 	for _, scheme := range instrument.AllSchemes() {
 		p, m, c := sampledCell(t, scheme)
@@ -47,15 +49,18 @@ func TestSampledColdVsResumedByteIdentical(t *testing.T) {
 		store := NewStore()
 		key := KeySpec{Benchmark: p.Name, Seed: 7, Instructions: p.Instructions, Scheme: scheme.String()}
 		cfg := Config{Schedule: sched, Store: store, Key: key}
+		boundaries := sched.Windows + 1
 
 		cold, err := Run(context.Background(), p, m, c, 7, cfg)
 		if err != nil {
 			t.Fatalf("%v: cold: %v", scheme, err)
 		}
-		if cold.Hits != 0 || cold.Misses != sched.Windows {
-			t.Fatalf("%v: cold run hits/misses = %d/%d", scheme, cold.Hits, cold.Misses)
+		if cold.Hits != 0 || cold.Misses != boundaries {
+			t.Fatalf("%v: cold run hits/misses = %d/%d, want 0/%d", scheme, cold.Hits, cold.Misses, boundaries)
 		}
-		coldCounts := m.Counts()
+		if _, _, entries := store.Stats(); entries != boundaries {
+			t.Fatalf("%v: cold run stored %d checkpoints, want %d", scheme, entries, boundaries)
+		}
 		coldCPU := c.Finalize()
 
 		p2, m2, c2 := sampledCell(t, scheme)
@@ -63,20 +68,34 @@ func TestSampledColdVsResumedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: resumed: %v", scheme, err)
 		}
-		if warm.Hits != sched.Windows || warm.Misses != 0 {
-			t.Fatalf("%v: resumed run hits/misses = %d/%d, want %d/0", scheme, warm.Hits, warm.Misses, sched.Windows)
+		if warm.Hits != boundaries || warm.Misses != 0 {
+			t.Fatalf("%v: resumed run hits/misses = %d/%d, want %d/0", scheme, warm.Hits, warm.Misses, boundaries)
+		}
+		for _, seg := range warm.Segments {
+			if !seg.Detailed {
+				t.Fatalf("%v: resumed run fast-forwarded instructions %d..%d", scheme, seg.StartInst, seg.EndInst)
+			}
 		}
 		if !reflect.DeepEqual(warm.Est, cold.Est) {
 			t.Fatalf("%v: estimates diverged:\ncold %+v\nwarm %+v", scheme, cold.Est, warm.Est)
 		}
-		if !reflect.DeepEqual(m2.Counts(), coldCounts) {
+		if !reflect.DeepEqual(warm.WarmCounts, cold.WarmCounts) {
+			t.Fatalf("%v: warm-up counts diverged", scheme)
+		}
+		if !reflect.DeepEqual(m2.Counts(), m.Counts()) {
 			t.Fatalf("%v: machine counts diverged", scheme)
+		}
+		if !reflect.DeepEqual(m2.Exceptions(), m.Exceptions()) {
+			t.Fatalf("%v: exception logs diverged:\ncold %v\nwarm %v", scheme, m.Exceptions(), m2.Exceptions())
+		}
+		if m2.Heap.Stats() != m.Heap.Stats() {
+			t.Fatalf("%v: heap statistics diverged:\ncold %+v\nwarm %+v", scheme, m.Heap.Stats(), m2.Heap.Stats())
+		}
+		if !reflect.DeepEqual(m2.OS.Resizes(), m.OS.Resizes()) {
+			t.Fatalf("%v: bounds-table resizes diverged", scheme)
 		}
 		if !reflect.DeepEqual(c2.Finalize(), coldCPU) {
 			t.Fatalf("%v: timing statistics diverged", scheme)
-		}
-		if len(m2.Exceptions()) != len(m.Exceptions()) {
-			t.Fatalf("%v: exception logs diverged", scheme)
 		}
 	}
 }

@@ -4,9 +4,9 @@
 // windows are simulated with the full timing model, and whole-run cycle
 // counts are extrapolated from the window CPI with a confidence interval.
 // Checkpoints of the complete simulation state (functional machine, timing
-// core, workload position) taken at window boundaries are content-addressed
-// in a Store, so later runs of the same cell — and forks of it — skip the
-// fast-forward prefix entirely.
+// core, workload position) taken at each window start and at the end of
+// the run are content-addressed in a Store, so later runs of the same
+// cell — and forks of it — skip every fast-forward gap, the tail included.
 package sampling
 
 import "fmt"

@@ -14,8 +14,9 @@ import (
 
 // KeySpec names a checkpoint: the full identity of the simulation cell (a
 // scheme changes the architectural trace, so schemes never share
-// checkpoints) plus the schedule and the window boundary the checkpoint
-// was taken at. The key is the sha256 of the spec's canonical JSON —
+// checkpoints) plus the schedule and the boundary the checkpoint was taken
+// at — Boundary i < Schedule.Windows is window i's start, and Boundary
+// Schedule.Windows is the end of the run. The key is the sha256 of the spec's canonical JSON —
 // struct field order is fixed, so encoding/json is canonical here.
 type KeySpec struct {
 	Benchmark    string   `json:"benchmark"`
@@ -38,7 +39,7 @@ func (k KeySpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Checkpoint is a complete simulation state at one window boundary: the
+// Checkpoint is a complete simulation state at one boundary: the
 // functional machine (kernel, heap, and the memory pages that also hold
 // the HBT rows and MTE tags — memory is copy-on-write, so checkpoints
 // share untouched pages), the timing core

@@ -51,75 +51,71 @@ type rngState struct {
 	vec   [rngVecLen]int64
 }
 
-// captureRNG snapshots the source state. The fast path reads math/rand's
-// unexported rngSource{tap, feed int; vec [607]int64} via reflection —
-// reads of unexported fields are legal, only Interface() is not — and
-// degrades to count-only if the layout ever changes.
+// rngLayout locates math/rand's unexported rngSource{tap, feed int; vec
+// [607]int64} fields by index, found once by name; ok is false when the
+// runtime's generator does not have that layout, and captures then record
+// only the draw count.
+var rngLayout = findRNGLayout(reflect.TypeOf(rand.NewSource(0)))
+
+type rngFields struct {
+	tap, feed, vec int
+	ok             bool
+}
+
+func findRNGLayout(t reflect.Type) rngFields {
+	if t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
+		return rngFields{}
+	}
+	e := t.Elem()
+	tap, okT := e.FieldByName("tap")
+	feed, okF := e.FieldByName("feed")
+	vec, okV := e.FieldByName("vec")
+	if !okT || !okF || !okV ||
+		tap.Type.Kind() != reflect.Int || feed.Type.Kind() != reflect.Int ||
+		vec.Type.Kind() != reflect.Array || vec.Type.Len() != rngVecLen ||
+		vec.Type.Elem().Kind() != reflect.Int64 {
+		return rngFields{}
+	}
+	return rngFields{tap: tap.Index[0], feed: feed.Index[0], vec: vec.Index[0], ok: true}
+}
+
+// captureRNG snapshots the source state. The fast path reads the
+// generator's unexported fields via reflection — reads of unexported
+// fields are legal, only Interface() is not.
 func captureRNG(c *countingSource) rngState {
 	st := rngState{draws: c.draws}
-	v := reflect.ValueOf(c.src)
-	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+	if !rngLayout.ok {
 		return st
 	}
-	e := v.Elem()
-	tap := e.FieldByName("tap")
-	feed := e.FieldByName("feed")
-	vec := e.FieldByName("vec")
-	if !tap.IsValid() || !feed.IsValid() || !vec.IsValid() ||
-		tap.Kind() != reflect.Int || feed.Kind() != reflect.Int ||
-		vec.Kind() != reflect.Array || vec.Len() != rngVecLen ||
-		vec.Type().Elem().Kind() != reflect.Int64 {
-		return st
-	}
+	e := reflect.ValueOf(c.src).Elem()
 	st.fast = true
-	st.tap = int(tap.Int())
-	st.feed = int(feed.Int())
-	for i := 0; i < rngVecLen; i++ {
+	st.tap = int(e.Field(rngLayout.tap).Int())
+	st.feed = int(e.Field(rngLayout.feed).Int())
+	vec := e.Field(rngLayout.vec)
+	for i := range st.vec {
 		st.vec[i] = vec.Index(i).Int()
 	}
 	return st
 }
 
-// restoreRNG builds a source whose state matches the capture, given the
-// original seed. With a fast capture it writes the generator internals
+// restore rewinds the source, in place, to a capture taken from a source
+// seeded with seed. With a fast capture it writes the generator internals
 // directly (via unsafe, since the fields are unexported); otherwise it
-// replays the recorded number of draws — exact but O(draws).
-func restoreRNG(seed int64, st rngState) *countingSource {
-	c := newCountingSource(seed)
-	if st.fast && writeRNG(c.src, st) {
-		c.draws = st.draws
-		return c
-	}
-	for i := uint64(0); i < st.draws; i++ {
-		// Int63 and Uint64 advance the additive generator identically
-		// (Int63 is Uint64 masked), so burning with either replays the
-		// stream position exactly.
-		c.src.Uint64()
+// reseeds and replays the recorded number of draws — exact but O(draws).
+func (c *countingSource) restore(seed int64, st rngState) {
+	if st.fast && rngLayout.ok {
+		e := reflect.ValueOf(c.src).Elem()
+		*(*int)(unsafe.Pointer(e.Field(rngLayout.tap).UnsafeAddr())) = st.tap
+		*(*int)(unsafe.Pointer(e.Field(rngLayout.feed).UnsafeAddr())) = st.feed
+		*(*[rngVecLen]int64)(unsafe.Pointer(e.Field(rngLayout.vec).UnsafeAddr())) = st.vec
+	} else {
+		c.src.Seed(seed)
+		for i := uint64(0); i < st.draws; i++ {
+			// Int63 and Uint64 advance the additive generator identically
+			// (Int63 is Uint64 masked), so burning with either replays the
+			// stream position exactly.
+			c.src.Uint64()
+		}
 	}
 	c.draws = st.draws
-	return c
-}
-
-// writeRNG pokes a fast capture into a fresh source; false if the layout
-// does not match (the caller then falls back to burning draws).
-func writeRNG(src rand.Source64, st rngState) bool {
-	v := reflect.ValueOf(src)
-	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
-		return false
-	}
-	e := v.Elem()
-	tap := e.FieldByName("tap")
-	feed := e.FieldByName("feed")
-	vec := e.FieldByName("vec")
-	if !tap.IsValid() || !feed.IsValid() || !vec.IsValid() ||
-		tap.Kind() != reflect.Int || feed.Kind() != reflect.Int ||
-		vec.Kind() != reflect.Array || vec.Len() != rngVecLen ||
-		vec.Type().Elem().Kind() != reflect.Int64 || !tap.CanAddr() {
-		return false
-	}
-	*(*int)(unsafe.Pointer(tap.UnsafeAddr())) = st.tap
-	*(*int)(unsafe.Pointer(feed.UnsafeAddr())) = st.feed
-	dst := (*[rngVecLen]int64)(unsafe.Pointer(vec.UnsafeAddr()))
-	copy(dst[:], st.vec[:])
-	return true
 }

@@ -12,9 +12,10 @@ import (
 // Runner is the resumable form of a profile run: the synthetic program's
 // loop state, so a driver can stop at any instruction boundary — a warmup
 // split, a SMARTS segment — checkpoint (State), fast-forward, and resume
-// (NewRunnerFromState) without replaying the prefix. Stopping and resuming
-// never changes the instruction stream: a run sliced into any number of
-// RunTo calls emits exactly the stream of one call.
+// (NewRunnerFromState, or Restore into a runner it already has) without
+// replaying the prefix. Stopping and resuming never changes the
+// instruction stream: a run sliced into any number of RunTo calls emits
+// exactly the stream of one call.
 type Runner struct {
 	p *Profile
 	m *core.Machine
@@ -68,12 +69,10 @@ func (s runnerState) clone() runnerState {
 // (the setup emits instructions).
 // The returned runner is positioned at produced=0, ready for RunTo.
 func NewRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
-	if err := p.Validate(); err != nil {
+	r, err := newRunner(p, m, seed)
+	if err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, m: m, src: newCountingSource(seed), runnerState: runnerState{seed: seed}}
-	r.rng = rand.New(r.src)
-	r.deriveParams()
 
 	// Warm-up: build the steady-state heap.
 	r.chunks = make([]core.Ptr, 0, p.LiveChunks)
@@ -124,6 +123,18 @@ func NewRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
 	}
 
 	r.nextCtxCheck = ctxCheckEvery
+	return r, nil
+}
+
+// newRunner validates the profile and returns a runner on m before its
+// set-up: the PRNG seeded with seed and the draw-free parameters derived.
+func newRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	r := &Runner{p: p, m: m, src: newCountingSource(seed), runnerState: runnerState{seed: seed}}
+	r.rng = rand.New(r.src)
+	r.deriveParams()
 	return r, nil
 }
 
@@ -319,24 +330,39 @@ type RunnerState struct {
 func (s *RunnerState) Produced() uint64 { return s.produced }
 
 // State deep-copies the runner's loop state. The snapshot is immutable and
-// reusable for any number of NewRunnerFromState calls.
+// reusable for any number of restores.
 func (r *Runner) State() *RunnerState {
 	return &RunnerState{runnerState: r.runnerState.clone(), profile: r.p.Name, rng: captureRNG(r.src)}
 }
 
 // NewRunnerFromState builds a runner positioned at a checkpoint, skipping
-// the setup phase entirely (no instructions are emitted — m must already
-// hold the matching machine state, restored from the checkpoint taken at
-// the same boundary). The state stays valid for further restores.
+// the setup phase entirely: it builds a runner, then Restores it.
 func NewRunnerFromState(p *Profile, m *core.Machine, s *RunnerState) (*Runner, error) {
-	if err := p.Validate(); err != nil {
+	r, err := newRunner(p, m, s.seed)
+	if err != nil {
 		return nil, err
 	}
-	if p.Name != s.profile {
-		return nil, fmt.Errorf("workload: runner state is for profile %q, not %q", s.profile, p.Name)
+	if err := r.Restore(s); err != nil {
+		return nil, err
 	}
-	r := &Runner{p: p, m: m, src: restoreRNG(s.seed, s.rng), runnerState: s.runnerState.clone()}
-	r.rng = rand.New(r.src)
-	r.deriveParams()
 	return r, nil
+}
+
+// Restore positions the runner at a checkpoint. It copies the state's
+// chunk list and branch biases into the runner's own slices and its PRNG
+// state into the runner's own source, so restoring into a runner whose
+// buffers can hold the state allocates nothing. No instructions are
+// emitted: the machine must already hold the matching state, restored from
+// the checkpoint taken at the same boundary. The state stays valid for
+// further restores.
+func (r *Runner) Restore(s *RunnerState) error {
+	if r.p.Name != s.profile {
+		return fmt.Errorf("workload: runner state is for profile %q, not %q", s.profile, r.p.Name)
+	}
+	own := r.runnerState
+	r.runnerState = s.runnerState
+	r.chunks = append(own.chunks[:0], s.chunks...)
+	r.bias = append(own.bias[:0], s.bias...)
+	r.src.restore(s.seed, s.rng)
+	return nil
 }

@@ -65,9 +65,9 @@ func TestRunnerPiecewiseMatchesRun(t *testing.T) {
 }
 
 // TestRunnerStateResumeDeterminism: checkpoint a (machine, runner) pair at an
-// arbitrary boundary, resume both into fresh objects, and require the
-// continuation's instruction stream and final counts to be byte-identical to
-// the original running straight through.
+// arbitrary boundary, resume both into fresh objects and then again in place,
+// and require the continuation's instruction stream and final counts to be
+// byte-identical to the original running straight through.
 func TestRunnerStateResumeDeterminism(t *testing.T) {
 	for _, scheme := range []instrument.Scheme{instrument.AOS, instrument.Watchdog, instrument.MTE} {
 		p, _ := ByName("hmmer")
@@ -91,13 +91,20 @@ func TestRunnerStateResumeDeterminism(t *testing.T) {
 		wantTail := rec.insts[prefix:]
 		wantCounts := m.Counts()
 
+		// Trial 0 builds a runner on a fresh machine; trial 1 restores
+		// both in place, over the buffers trial 0's continuation grew.
+		m2, rec2 := newRecordedMachine(t, scheme)
+		var r2 *Runner
 		for trial := 0; trial < 2; trial++ {
-			m2, rec2 := newRecordedMachine(t, scheme)
+			rec2.insts = rec2.insts[:0]
 			if err := m2.Restore(msnap); err != nil {
 				t.Fatal(err)
 			}
-			r2, err := NewRunnerFromState(p, m2, rsnap)
-			if err != nil {
+			if trial == 0 {
+				if r2, err = NewRunnerFromState(p, m2, rsnap); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := r2.Restore(rsnap); err != nil {
 				t.Fatal(err)
 			}
 			if r2.Produced() != rsnap.Produced() {
@@ -136,9 +143,10 @@ func TestRunnerStateWrongProfile(t *testing.T) {
 }
 
 // TestRNGCaptureFastPath pins the math/rand layout assumption: on this
-// toolchain the reflection capture must take the fast path, and both restore
-// paths (direct state write and draw burning) must reproduce the exact
-// stream the original source continues to produce.
+// toolchain the reflection capture must take the fast path, and both
+// in-place restore paths (direct state write and reseeding plus draw
+// burning) must reproduce the exact stream the original source continues
+// to produce.
 func TestRNGCaptureFastPath(t *testing.T) {
 	src := newCountingSource(42)
 	r := rand.New(src)
@@ -153,10 +161,17 @@ func TestRNGCaptureFastPath(t *testing.T) {
 		t.Fatalf("captured draws %d, source drew %d", st.draws, src.draws)
 	}
 
-	fast := restoreRNG(42, st)
+	// Restore in place into sources that have moved elsewhere, as a
+	// runner's source has by the time it restores the next checkpoint.
+	fast, burned := newCountingSource(42), newCountingSource(42)
+	for i := 0; i < 777; i++ {
+		fast.Uint64()
+		burned.Uint64()
+	}
+	fast.restore(42, st)
 	slow := st
 	slow.fast = false
-	burned := restoreRNG(42, slow)
+	burned.restore(42, slow)
 	if fast.draws != st.draws || burned.draws != st.draws {
 		t.Fatalf("restored draw counts %d/%d, want %d", fast.draws, burned.draws, st.draws)
 	}
