@@ -18,7 +18,8 @@ func (t *TAGE) Snapshot() *State {
 }
 
 // Restore rewinds the predictor to a snapshot, copying the tables into its
-// own. The snapshot stays valid.
+// own and rebuilding the fold registers from the restored history. The
+// snapshot stays valid.
 func (t *TAGE) Restore(s *State) {
 	base, banks := t.base, t.banks
 	t.tageState = s.tageState
@@ -27,4 +28,5 @@ func (t *TAGE) Restore(s *State) {
 	for b := range t.banks {
 		copy(t.banks[b], s.banks[b])
 	}
+	t.refold()
 }

@@ -51,14 +51,55 @@ func TestSnapshotRestoreDeterminism(t *testing.T) {
 	}
 }
 
+// TestFoldRegistersMatchFold: every bank's fold registers equal
+// foldHistory of the history they stand for after each Update of the
+// golden stream, and after a Restore into a predictor that trained
+// elsewhere.
+func TestFoldRegistersMatchFold(t *testing.T) {
+	check := func(p *TAGE, when string, update int) {
+		t.Helper()
+		for b := range p.folds {
+			want := foldRegs{
+				idx: p.foldHistory(histLens[b], bankBits),
+				tag: p.foldHistory(histLens[b], tagBits),
+			}
+			if p.folds[b] != want {
+				t.Fatalf("%s %d: bank %d registers %+v, foldHistory %+v", when, update, b, p.folds[b], want)
+			}
+		}
+	}
+	p := NewTAGE()
+	check(p, "new predictor", 0)
+	var snap *State
+	n := 0
+	goldenStream(20_000, func(pc uint32, taken bool) {
+		p.Update(pc, taken)
+		n++
+		check(p, "after update", n)
+		if n == 5_000 {
+			snap = p.Snapshot()
+		}
+	})
+
+	other := NewTAGE()
+	for i := 0; i < 777; i++ {
+		other.Update(uint32(i*13), i%3 != 0)
+	}
+	other.Restore(snap)
+	check(other, "after Restore of update", 5_000)
+}
+
 // TestTAGESnapshotComplete is the reflection guard. Every TAGE field is
-// checkpointed, and every tageState field an assignment would share is on
-// the deep-copy list that Snapshot clones and Restore copies into the
-// predictor's own tables.
+// checkpointed or derived from checkpointed state, and every tageState
+// field an assignment would share is on the deep-copy list that Snapshot
+// clones and Restore copies into the predictor's own tables.
 func TestTAGESnapshotComplete(t *testing.T) {
+	// folds are the fold registers, which Restore rebuilds from ghist
+	// (TestFoldRegistersMatchFold).
+	classified := map[string]bool{"tageState": true, "folds": true}
 	typ := reflect.TypeOf(TAGE{})
 	for i := 0; i < typ.NumField(); i++ {
-		if name := typ.Field(i).Name; name != "tageState" {
+		if name := typ.Field(i).Name; !classified[name] {
 			t.Errorf("bpred.TAGE field %q is outside tageState, which checkpoints copy; move it there or classify it here", name)
 		}
 	}

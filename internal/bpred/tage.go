@@ -33,6 +33,18 @@ type tagEntry struct {
 // call NewTAGE.
 type TAGE struct {
 	tageState
+
+	// folds are each bank's history folds at the index and tag widths,
+	// kept up to date on every history push (L-TAGE's folded-history
+	// registers). They are derived from ghist: Restore rebuilds them, so
+	// checkpoints do not carry them.
+	folds [numBanks]foldRegs
+}
+
+// foldRegs are one bank's folded-history registers: foldHistory of the
+// bank's history length at bankBits and at tagBits.
+type foldRegs struct {
+	idx, tag uint32
 }
 
 // tageState is the predictor's whole state, the one field list that
@@ -64,7 +76,7 @@ func (s Stats) Rate() float64 {
 
 // NewTAGE returns a fresh predictor.
 func NewTAGE() *TAGE {
-	t := &TAGE{tageState{base: make([]int8, 1<<baseBits), rng: 0xACE1}}
+	t := &TAGE{tageState: tageState{base: make([]int8, 1<<baseBits), rng: 0xACE1}}
 	for i := range t.banks {
 		t.banks[i] = make([]tagEntry, 1<<bankBits)
 	}
@@ -101,14 +113,31 @@ type keys struct {
 	tag [numBanks]uint16
 }
 
-// keysFor folds the history once per bank at the index width and once at
-// the tag width. The tag's second fold is tagBits-1 == bankBits wide, the
-// index fold itself.
+// refold recomputes every fold register from ghist.
+func (t *TAGE) refold() {
+	for b := range t.folds {
+		t.folds[b] = foldRegs{
+			idx: t.foldHistory(histLens[b], bankBits),
+			tag: t.foldHistory(histLens[b], tagBits),
+		}
+	}
+}
+
+// pushFold advances a fold of n history bits into width bits by one
+// history push in O(1): every bit moves up one place, so the fold
+// rotates left by one; in enters at bit 0, and out, history bit n-1
+// before the push, leaves from folded bit n%width.
+func pushFold(f uint32, width, n uint, in, out uint32) uint32 {
+	f = (f<<1 | f>>(width-1)) & (1<<width - 1)
+	return f ^ in ^ out<<(n%width)
+}
+
+// keysFor reads each bank's index and tag folds from its registers. The
+// tag's second fold is tagBits-1 == bankBits wide, the index fold itself.
 func (t *TAGE) keysFor(pc uint32) keys {
 	var k keys
 	for b := range k.idx {
-		hIdx := t.foldHistory(histLens[b], bankBits)
-		hTag := t.foldHistory(histLens[b], tagBits)
+		hIdx, hTag := t.folds[b].idx, t.folds[b].tag
 		k.idx[b] = (pc ^ pc>>bankBits ^ hIdx ^ uint32(b)<<3) & (1<<bankBits - 1)
 		k.tag[b] = uint16((pc ^ hTag ^ hIdx<<1) & (1<<tagBits - 1))
 	}
@@ -218,10 +247,17 @@ func (t *TAGE) Update(pc uint32, taken bool) bool {
 		}
 	}
 
-	// Push the outcome into global history.
+	// Push the outcome into global history and its folds.
 	carry := uint64(0)
 	if taken {
 		carry = 1
+	}
+	for b := range t.folds {
+		n := histLens[b]
+		out := uint32(t.ghist[(n-1)/64]>>((n-1)%64)) & 1
+		f := &t.folds[b]
+		f.idx = pushFold(f.idx, bankBits, n, uint32(carry), out)
+		f.tag = pushFold(f.tag, tagBits, n, uint32(carry), out)
 	}
 	for i := 0; i < len(t.ghist); i++ {
 		next := t.ghist[i] >> 63

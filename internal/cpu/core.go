@@ -369,7 +369,7 @@ func (c *Core) mcuAccess(at uint64, addr uint64, write bool) uint64 {
 	c.boundsAccess++
 	if lat > 1 && !write {
 		slot := &c.bMSHR[c.bMSHRIdx]
-		c.bMSHRIdx = (c.bMSHRIdx + 1) % len(c.bMSHR)
+		c.bMSHRIdx = nextSlot(c.bMSHRIdx, len(c.bMSHR))
 		if *slot > start {
 			start = *slot
 		}
@@ -494,7 +494,7 @@ func (c *Core) Emit(in *isa.Inst) {
 		if lat > 1 {
 			// L1-D miss: allocate an MSHR; a full MSHR file stalls the miss.
 			slot := &c.dMSHR[c.dMSHRIdx]
-			c.dMSHRIdx = (c.dMSHRIdx + 1) % len(c.dMSHR)
+			c.dMSHRIdx = nextSlot(c.dMSHRIdx, len(c.dMSHR))
 			start = max64(start, *slot)
 			*slot = start + uint64(lat)
 		}
@@ -647,19 +647,29 @@ func (c *Core) Emit(in *isa.Inst) {
 		c.regReady[in.Dest] = complete
 	}
 	c.robRing[c.robIdx] = commit
-	c.robIdx = (c.robIdx + 1) % c.cfg.ROBSize
+	c.robIdx = nextSlot(c.robIdx, len(c.robRing))
 	switch {
 	case in.Op == isa.OpLoad:
 		c.lqRing[c.lqIdx] = commit
-		c.lqIdx = (c.lqIdx + 1) % c.cfg.LQSize
+		c.lqIdx = nextSlot(c.lqIdx, len(c.lqRing))
 	case in.Op == isa.OpStore, in.Op == isa.OpSTG:
 		c.sqRing[c.sqIdx] = commit
-		c.sqIdx = (c.sqIdx + 1) % c.cfg.SQSize
+		c.sqIdx = nextSlot(c.sqIdx, len(c.sqRing))
 	}
 	if usesMCQ {
 		c.mcqRing[c.mcqIdx] = release
-		c.mcqIdx = (c.mcqIdx + 1) % c.cfg.MCQSize
+		c.mcqIdx = nextSlot(c.mcqIdx, len(c.mcqRing))
 	}
+}
+
+// nextSlot returns the ring slot after i in a ring of n slots. It wraps
+// by compare: Table IV's ROB (192) and MCQ (48) are not powers of two, so
+// a remainder would divide on every instruction.
+func nextSlot(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
 }
 
 func maxInt8(v int8, lo int8) int8 {

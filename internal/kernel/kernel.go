@@ -129,10 +129,14 @@ func (o *OS) allocTable(assoc int) (*hbt.Table, error) {
 // Table returns the process's current hashed bounds table.
 func (o *OS) Table() *hbt.Table { return o.table }
 
-// Resizes returns the resize history (§IX-A.1 reports these counts).
+// Resizes returns the resize history (§IX-A.1 reports these counts). The
+// slice is the OS's own log: a Restore overwrites it, so read it after the
+// last restore or copy it. sampling.Run is the one caller that restores,
+// and a cell reads its logs only after its last restore.
 func (o *OS) Resizes() []ResizeEvent { return o.resizes }
 
-// Exceptions returns every recorded exception.
+// Exceptions returns every recorded exception. Like Resizes, the slice is
+// the OS's own log, which a Restore overwrites.
 func (o *OS) Exceptions() []Exception { return o.exceptions }
 
 // ResetExceptions clears the exception log (between experiment phases).

@@ -26,9 +26,14 @@ func (o *OS) Snapshot() *State {
 // Restore rewinds the OS context to a snapshot. The backing memory must be
 // restored to the matching mem.State separately (core.Machine.Restore does
 // both). The existing table object is restored in place, so pointers to it
-// held by callers stay valid. The snapshot stays valid for further
-// restores.
+// held by callers stay valid. The logs are copied into the OS's own
+// slices, so a restore over logs that can hold the snapshot's allocates
+// nothing, and it overwrites what Resizes and Exceptions returned before
+// it. The snapshot stays valid for further restores.
 func (o *OS) Restore(s *State) {
-	o.osState = s.osState.clone()
+	own := o.osState
+	o.osState = s.osState
+	o.resizes = append(own.resizes[:0], s.resizes...)
+	o.exceptions = append(own.exceptions[:0], s.exceptions...)
 	o.table.Restore(s.table)
 }

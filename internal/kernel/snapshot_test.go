@@ -86,10 +86,36 @@ func TestOSSnapshotRestoreDeterminism(t *testing.T) {
 	}
 }
 
+// TestOSRestoreAllocatesNothing: restoring a checkpoint whose logs hold
+// exceptions and a resize copies them into the OS's own slices, so once
+// those have grown to hold them a restore allocates nothing.
+func TestOSRestoreAllocatesNothing(t *testing.T) {
+	m := mem.New()
+	o, err := NewOS(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.HandleTableFull(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		o.RaiseException(ExcBoundsCheck, 0x1000+uint64(i), "logged")
+	}
+	s := o.Snapshot()
+	o.RaiseException(ExcBoundsCheck, 0x2000, "after the snapshot")
+	o.Restore(s)
+	if allocs := testing.AllocsPerRun(20, func() { o.Restore(s) }); allocs != 0 {
+		t.Errorf("OS.Restore with 3 exceptions and 1 resize logged: %v allocations, want 0", allocs)
+	}
+	if len(o.Exceptions()) != 3 || len(o.Resizes()) != 1 {
+		t.Fatalf("restored logs hold %d exceptions and %d resizes, want 3 and 1", len(o.Exceptions()), len(o.Resizes()))
+	}
+}
+
 // TestOSSnapshotComplete is the reflection guard. Every OS field is
 // classified as checkpointed or operational, and every osState field an
-// assignment would share is on the deep-copy list that Snapshot and
-// Restore clone.
+// assignment would share is on the deep-copy list that Snapshot clones
+// and Restore copies into the OS's own slices.
 func TestOSSnapshotComplete(t *testing.T) {
 	checkpointed := map[string]bool{
 		// table snapshots itself into State.

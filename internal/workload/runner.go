@@ -3,7 +3,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"aos/internal/core"
 	"aos/internal/kernel"
@@ -20,9 +19,6 @@ type Runner struct {
 	p *Profile
 	m *core.Machine
 
-	src *countingSource
-	rng *rand.Rand
-
 	// Derived, draw-free parameters (recomputed from the profile on every
 	// construction path; never checkpointed).
 	chainFrac  float64
@@ -33,15 +29,17 @@ type Runner struct {
 	callGap    uint64
 	allocGap   uint64
 
-	// runnerState is the loop state a checkpoint captures besides the
-	// PRNG (see RunnerState).
+	// runnerState is the loop state a checkpoint captures (see
+	// RunnerState).
 	runnerState
 }
 
 // runnerState is the program's loop state, the one field list that
 // checkpoints capture: State copies it whole and clones its slices.
 type runnerState struct {
-	seed int64
+	// rng is the draw stream (see rng.go), a plain value that an
+	// assignment copies.
+	rng generator
 
 	chunks []core.Ptr
 	bias   []float64
@@ -69,10 +67,11 @@ func (s runnerState) clone() runnerState {
 // (the setup emits instructions).
 // The returned runner is positioned at produced=0, ready for RunTo.
 func NewRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
-	r, err := newRunner(p, m, seed)
+	r, err := newRunner(p, m)
 	if err != nil {
 		return nil, err
 	}
+	r.rng = newGenerator(seed)
 
 	// Warm-up: build the steady-state heap.
 	r.chunks = make([]core.Ptr, 0, p.LiveChunks)
@@ -126,14 +125,13 @@ func NewRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
 	return r, nil
 }
 
-// newRunner validates the profile and returns a runner on m before its
-// set-up: the PRNG seeded with seed and the draw-free parameters derived.
-func newRunner(p *Profile, m *core.Machine, seed int64) (*Runner, error) {
+// newRunner validates the profile and returns a runner on m with its
+// draw-free parameters derived and no loop state.
+func newRunner(p *Profile, m *core.Machine) (*Runner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, m: m, src: newCountingSource(seed), runnerState: runnerState{seed: seed}}
-	r.rng = rand.New(r.src)
+	r := &Runner{p: p, m: m}
 	r.deriveParams()
 	return r, nil
 }
@@ -272,13 +270,13 @@ func (r *Runner) RunTo(ctx context.Context, until, total uint64) error {
 			m.Branch(uint32(site), taken)
 			r.produced++
 		case rr < r.memFrac+p.BranchFrac+p.FPFrac:
-			m.ComputeFP(1, depOf(r.rng, p.ChaseFrac, r.chainFrac))
+			m.ComputeFP(1, depOf(&r.rng, p.ChaseFrac, r.chainFrac))
 			r.produced++
 		case rr < r.memFrac+p.BranchFrac+p.FPFrac+p.MulFrac:
-			m.ComputeMul(1, depOf(r.rng, p.ChaseFrac, r.chainFrac))
+			m.ComputeMul(1, depOf(&r.rng, p.ChaseFrac, r.chainFrac))
 			r.produced++
 		default:
-			m.Compute(1, depOf(r.rng, p.ChaseFrac, r.chainFrac))
+			m.Compute(1, depOf(&r.rng, p.ChaseFrac, r.chainFrac))
 			r.produced++
 		}
 
@@ -316,14 +314,13 @@ func (r *Runner) RunTo(ctx context.Context, until, total uint64) error {
 	return nil
 }
 
-// RunnerState is a deep checkpoint of a runner's loop position: the PRNG
-// state, the live-chunk list, the burst cursor, and the event-gap phases.
-// Pair it with the machine and timing-core snapshots taken at the same
-// instruction boundary to capture a whole simulation.
+// RunnerState is a deep checkpoint of a runner's loop position: the
+// generator, the live-chunk list, the burst cursor, and the event-gap
+// phases. Pair it with the machine and timing-core snapshots taken at the
+// same instruction boundary to capture a whole simulation.
 type RunnerState struct {
 	runnerState
 	profile string
-	rng     rngState
 }
 
 // Produced reports the checkpoint's instruction position.
@@ -332,13 +329,13 @@ func (s *RunnerState) Produced() uint64 { return s.produced }
 // State deep-copies the runner's loop state. The snapshot is immutable and
 // reusable for any number of restores.
 func (r *Runner) State() *RunnerState {
-	return &RunnerState{runnerState: r.runnerState.clone(), profile: r.p.Name, rng: captureRNG(r.src)}
+	return &RunnerState{runnerState: r.runnerState.clone(), profile: r.p.Name}
 }
 
 // NewRunnerFromState builds a runner positioned at a checkpoint, skipping
 // the setup phase entirely: it builds a runner, then Restores it.
 func NewRunnerFromState(p *Profile, m *core.Machine, s *RunnerState) (*Runner, error) {
-	r, err := newRunner(p, m, s.seed)
+	r, err := newRunner(p, m)
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +346,8 @@ func NewRunnerFromState(p *Profile, m *core.Machine, s *RunnerState) (*Runner, e
 }
 
 // Restore positions the runner at a checkpoint. It copies the state's
-// chunk list and branch biases into the runner's own slices and its PRNG
-// state into the runner's own source, so restoring into a runner whose
+// chunk list and branch biases into the runner's own slices and the rest,
+// the generator included, by assignment, so restoring into a runner whose
 // buffers can hold the state allocates nothing. No instructions are
 // emitted: the machine must already hold the matching state, restored from
 // the checkpoint taken at the same boundary. The state stays valid for
@@ -363,6 +360,5 @@ func (r *Runner) Restore(s *RunnerState) error {
 	r.runnerState = s.runnerState
 	r.chunks = append(own.chunks[:0], s.chunks...)
 	r.bias = append(own.bias[:0], s.bias...)
-	r.src.restore(s.seed, s.rng)
 	return nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,6 +62,30 @@ func TestRunnerPiecewiseMatchesRun(t *testing.T) {
 	}
 	if rc.Produced() < total {
 		t.Fatalf("sliced runner stopped at %d, want >= %d", rc.Produced(), total)
+	}
+}
+
+// BenchmarkRunTo times the functional path alone: a gcc/AOS runner after
+// set-up produces b.N program instructions into a machine whose sink
+// discards them, batched as a cell's is, so an op is one program
+// instruction and its draws, heap work and instrumentation.
+func BenchmarkRunTo(b *testing.B) {
+	p, _ := ByName("gcc")
+	m, err := core.New(core.Config{Scheme: instrument.AOS})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetSink(isa.NullSink{})
+	m.SetBatch(core.EmitBatchSize)
+	r, err := NewRunner(p, m, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	until := r.Produced() + uint64(b.N)
+	if err := r.RunTo(context.Background(), until, until); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -142,48 +167,129 @@ func TestRunnerStateWrongProfile(t *testing.T) {
 	}
 }
 
-// TestRNGCaptureFastPath pins the math/rand layout assumption: on this
-// toolchain the reflection capture must take the fast path, and both
-// in-place restore paths (direct state write and reseeding plus draw
-// burning) must reproduce the exact stream the original source continues
-// to produce.
-func TestRNGCaptureFastPath(t *testing.T) {
-	src := newCountingSource(42)
-	r := rand.New(src)
-	for i := 0; i < 12_345; i++ {
-		r.Float64()
-	}
-	st := captureRNG(src)
-	if !st.fast {
-		t.Fatal("captureRNG did not take the fast path; math/rand layout changed — restore falls back to O(draws) burning")
-	}
-	if st.draws != src.draws {
-		t.Fatalf("captured draws %d, source drew %d", st.draws, src.draws)
-	}
+// The draws the runner makes, each a kind of call on the generator and on
+// rand.Rand.
+const (
+	callFloat64 = iota
+	callInt63n
+	callIntn
+	numCalls
+)
 
-	// Restore in place into sources that have moved elsewhere, as a
-	// runner's source has by the time it restores the next checkpoint.
-	fast, burned := newCountingSource(42), newCountingSource(42)
-	for i := 0; i < 777; i++ {
-		fast.Uint64()
-		burned.Uint64()
+// drawer is what the runner calls on its generator, and what rand.Rand
+// has too.
+type drawer interface {
+	Float64() float64
+	Int63n(n int64) int64
+	Intn(n int) int
+}
+
+// draw makes one call on g and returns its result as a bit pattern.
+func draw(g drawer, kind int, n int64) uint64 {
+	switch kind {
+	case callFloat64:
+		return math.Float64bits(g.Float64())
+	case callInt63n:
+		return uint64(g.Int63n(n))
+	default:
+		return uint64(g.Intn(int(n)))
 	}
-	fast.restore(42, st)
-	slow := st
-	slow.fast = false
-	burned.restore(42, slow)
-	if fast.draws != st.draws || burned.draws != st.draws {
-		t.Fatalf("restored draw counts %d/%d, want %d", fast.draws, burned.draws, st.draws)
-	}
-	for i := 0; i < 2_000; i++ {
-		want := src.Uint64()
-		if got := fast.Uint64(); got != want {
-			t.Fatalf("draw %d: fast-path restore diverged: %x != %x", i, got, want)
+}
+
+// drawMix is a call cycle that takes each of rand.Rand's paths: Int63n
+// with a power of two (a mask), a non-power of two (a rejection bound and
+// a remainder) and n > 2^62, where about every other draw is rejected;
+// Intn below 2^31-1 (Int31n, masked and not) and above it (Int63n).
+var drawMix = []struct {
+	kind int
+	n    int64
+}{
+	{callFloat64, 0},
+	{callInt63n, 1 << 20},
+	{callFloat64, 0},
+	{callInt63n, 1000},
+	{callInt63n, 1<<62 + 1},
+	{callIntn, 48},
+	{callFloat64, 0},
+	{callIntn, 1 << 4},
+	{callIntn, 1<<40 + 12345},
+	{callIntn, 1<<31 - 1},
+	{callInt63n, 1<<63 - 1},
+}
+
+// TestRunnerDrawsMatchMathRand: the runner's generator is math/rand's
+// stream, call for call, for every draw the runner makes; and a state
+// restored in place, into a generator that drew elsewhere, continues the
+// same stream.
+func TestRunnerDrawsMatchMathRand(t *testing.T) {
+	const calls = 200_000
+	for _, seed := range []int64{0, 1, 2, 42, -5, 2147483647, 1 << 40} {
+		g, want := newGenerator(seed), rand.New(rand.NewSource(seed))
+		var mid generator
+		tail := make([]uint64, 0, calls/2)
+		for i := 0; i < calls; i++ {
+			if i == calls/2 {
+				mid = g
+			}
+			c := drawMix[i%len(drawMix)]
+			got, exp := draw(&g, c.kind, c.n), draw(want, c.kind, c.n)
+			if got != exp {
+				t.Fatalf("seed %d call %d (kind %d, n %d): %#x, math/rand %#x", seed, i, c.kind, c.n, got, exp)
+			}
+			if i >= calls/2 {
+				tail = append(tail, got)
+			}
 		}
-		if got := burned.Uint64(); got != want {
-			t.Fatalf("draw %d: burn restore diverged: %x != %x", i, got, want)
+
+		// Restore in place, over a generator that drew elsewhere, as a
+		// runner's has by the time it restores its next checkpoint.
+		g = newGenerator(seed + 1)
+		for i := 0; i < 999; i++ {
+			g.Uint64()
+		}
+		g = mid
+		for i := calls / 2; i < calls; i++ {
+			c := drawMix[i%len(drawMix)]
+			if got := draw(&g, c.kind, c.n); got != tail[i-calls/2] {
+				t.Fatalf("seed %d call %d after restore: %#x, want %#x", seed, i, got, tail[i-calls/2])
+			}
 		}
 	}
+}
+
+// FuzzDraws: for any seed and call script, the generator's results equal
+// math/rand's, and so do the raw draws after the script. Each script byte
+// picks a call (byte%numCalls) and how many of the next bytes, up to 8,
+// hold its argument n, little-endian, kept positive.
+func FuzzDraws(f *testing.F) {
+	f.Add(int64(0), []byte{0, 1, 0})
+	f.Add(int64(1), []byte{1 | 2<<2, 0xe8, 0x03, 2 | 1<<2, 48, 0})
+	f.Add(int64(-5), []byte{1 | 8<<2, 1, 0, 0, 0, 0, 0, 0, 0x40, 2 | 5<<2, 0x39, 0x30, 0, 0, 1})
+	f.Add(int64(1<<40), []byte{2 | 4<<2, 0xff, 0xff, 0xff, 0x7f, 1 | 3<<2, 0, 0, 0x10})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		g, want := newGenerator(seed), rand.New(rand.NewSource(seed))
+		for i := 0; len(script) > 0; i++ {
+			op := script[0]
+			k := min(int(op>>2)%9, len(script)-1)
+			var n int64
+			for j := k; j >= 1; j-- {
+				n = n<<8 | int64(script[j])
+			}
+			script = script[k+1:]
+			if n &= 1<<63 - 1; n == 0 {
+				n = 1
+			}
+			kind := int(op) % numCalls
+			if got, exp := draw(&g, kind, n), draw(want, kind, n); got != exp {
+				t.Fatalf("call %d (kind %d, n %d): %#x, math/rand %#x", i, kind, n, got, exp)
+			}
+		}
+		for i := 0; i < rngLen; i++ {
+			if got, exp := g.Int63(), want.Int63(); got != exp {
+				t.Fatalf("draw %d after the script: %#x, math/rand %#x", i, got, exp)
+			}
+		}
+	})
 }
 
 // TestRunnerStateComplete is the reflection guard. Every Runner field is
@@ -192,15 +298,13 @@ func TestRNGCaptureFastPath(t *testing.T) {
 // assignment would share is on the deep-copy list that clone copies.
 func TestRunnerStateComplete(t *testing.T) {
 	checkpointed := map[string]bool{
-		// p is captured as the profile name; src as the captured RNG state.
-		"runnerState": true, "p": true, "src": true,
+		// p is captured as the profile name.
+		"runnerState": true, "p": true,
 	}
 	operational := map[string]bool{
-		// m is runtime wiring; rng is a view over src; the rest are
-		// draw-free derivations recomputed by deriveParams on every
-		// construction path.
-		"m": true, "rng": true,
-		"chainFrac": true, "memFrac": true, "storeShare": true,
+		// m is runtime wiring; the rest are draw-free derivations
+		// recomputed by deriveParams on every construction path.
+		"m": true, "chainFrac": true, "memFrac": true, "storeShare": true,
 		"burstLen": true, "stride": true, "callGap": true, "allocGap": true,
 	}
 	typ := reflect.TypeOf(Runner{})
@@ -212,6 +316,11 @@ func TestRunnerStateComplete(t *testing.T) {
 	}
 	deepCopied := map[string]bool{"chunks": true, "bias": true}
 	st := reflect.TypeOf(runnerState{})
+	// The generator is loop state: a value that State and Restore copy
+	// by assignment.
+	if f, ok := st.FieldByName("rng"); !ok || f.Type != reflect.TypeOf(generator{}) {
+		t.Error("workload.runnerState does not hold the generator by value; State and Restore would not capture it")
+	}
 	for i := 0; i < st.NumField(); i++ {
 		f := st.Field(i)
 		if shares := sharesStorage(f.Type); shares != deepCopied[f.Name] {

@@ -11,7 +11,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"aos/internal/core"
 )
@@ -142,7 +141,7 @@ func gap(per1K float64) uint64 {
 	return uint64(1000 / per1K)
 }
 
-func depOf(rng *rand.Rand, chase, chain float64) core.Dep {
+func depOf(rng *generator, chase, chain float64) core.Dep {
 	r := rng.Float64()
 	switch {
 	case r < chase:
