@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"aos/internal/experiments"
@@ -98,14 +97,12 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	o := experiments.Options{Instructions: *insts, Seed: *seed, Workers: *workers, Sanitize: *sanitize, Context: ctx}
+	// One memo for the whole invocation: with -exp all, a cell that an
+	// earlier experiment finished is not simulated again.
+	o := experiments.Options{Instructions: *insts, Seed: *seed, Workers: *workers, Sanitize: *sanitize, Context: ctx,
+		Memo: new(experiments.Memo)}
 	if *sample {
-		// One store for the whole invocation: with -exp all, later
-		// matrix-backed experiments resume from checkpoints the first
-		// matrix populated. (Sanitized runs ignore the store and sample
-		// cold — a restore would desynchronize the teeing checker.)
 		o.Sampling = &sampling.Schedule{Windows: *sampleWindows, Gap: *sampleGap}
-		o.Checkpoints = sampling.NewStore()
 	}
 	ansi := !*noAnsi && stderrIsTerminal()
 	if !*quiet {
@@ -130,11 +127,10 @@ func main() {
 		}
 	}
 
-	// -timeline records one matrix cell's telemetry during the matrix
-	// run. Sampling is passive, so every other cell's numbers — and the
-	// rendered figures — are unchanged by the flag.
-	var tlMu sync.Mutex
-	var cellTimeline *telemetry.Timeline
+	// -timeline runs its matrix cell once more after the matrix, with
+	// the flight recorder on. Cells are deterministic and telemetry is
+	// passive, so the recorded run is the matrix's cell.
+	var timelineSpec experiments.SimSpec
 	if *timelinePath != "" {
 		bench, schemeStr, ok := strings.Cut(*timelineCell, "/")
 		if !ok {
@@ -147,13 +143,10 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("-timeline-cell: %w", err))
 		}
-		o.TelemetryInterval = *timelineInterval
-		o.OnTimeline = func(b string, s instrument.Scheme, tl *telemetry.Timeline) {
-			if b == bench && s == cellScheme {
-				tlMu.Lock()
-				cellTimeline = tl
-				tlMu.Unlock()
-			}
+		timelineSpec = experiments.SimSpec{Benchmark: bench, Scheme: cellScheme.String(),
+			Instructions: *insts, Seed: *seed, Sanitize: *sanitize}
+		if *sample {
+			timelineSpec.Sampling = &experiments.SamplingSpec{Windows: *sampleWindows, Gap: *sampleGap}
 		}
 	}
 
@@ -174,19 +167,13 @@ func main() {
 	}
 
 	if *timelinePath != "" {
-		tlMu.Lock()
-		tl := cellTimeline
-		tlMu.Unlock()
-		if tl == nil {
-			fatal(fmt.Errorf("-timeline: matrix produced no timeline for cell %s", *timelineCell))
+		_, tl, err := experiments.RunSpecFull(ctx, timelineSpec, experiments.RunConfig{TelemetryInterval: *timelineInterval})
+		if err != nil {
+			fatal(fmt.Errorf("-timeline: %w", err))
 		}
-		if err := writeCellTimeline(*timelinePath, *timelineCell, tl); err != nil {
+		if err := tl.WriteTraceFile(*timelinePath, "aosbench "+*timelineCell, os.Stderr); err != nil {
 			fatal(err)
 		}
-		// The non-matrix experiments that also run under -exp all reuse o;
-		// they have no timeline sink, so stop sampling there.
-		o.TelemetryInterval = 0
-		o.OnTimeline = nil
 	}
 
 	if *jsonOut && *exp != "attacks" {
@@ -374,34 +361,6 @@ func stderrIsTerminal() bool {
 		return false
 	}
 	return fi.Mode()&os.ModeCharDevice != 0
-}
-
-// writeCellTimeline exports one matrix cell's telemetry as Perfetto
-// trace_event JSON and re-validates the written bytes with the in-tree
-// schema checker, so a malformed export fails the run instead of the UI.
-func writeCellTimeline(path, cell string, tl *telemetry.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tl.WriteTraceEvents(f, "aosbench "+cell); err != nil {
-		f.Close()
-		return fmt.Errorf("timeline: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	st, err := telemetry.ValidateTraceJSON(data)
-	if err != nil {
-		return fmt.Errorf("timeline: %s fails validation: %w", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "aosbench: timeline %s: %d events, %d counter tracks, %d slices (validated)\n",
-		path, st.Events, len(st.CounterTracks), st.Slices)
-	return nil
 }
 
 func fatal(err error) {

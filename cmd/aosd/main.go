@@ -104,7 +104,7 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 func run(addr string, cfg service.Config, drain time.Duration, pprof bool, logger *slog.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// BaseContext stays Background: a signal must drain jobs gracefully,
+	// Jobs do not run under ctx: a signal must drain them gracefully,
 	// not cancel them outright — svc.Close force-cancels only once the
 	// drain budget expires.
 

@@ -36,7 +36,6 @@ func main() {
 	nocheck := flag.Bool("nocheck", false, "disable the always-on tracecheck protocol sanitizer")
 	timeline := flag.String("timeline", "", "record cycle-sampled telemetry and write a Perfetto trace_event JSON timeline to this file")
 	timelineInterval := flag.Uint64("timeline-interval", telemetry.DefaultInterval, "telemetry sampling interval in commit cycles (with -timeline)")
-	validateTimeline := flag.Bool("validate-timeline", true, "validate the written timeline against the trace_event schema (with -timeline)")
 	flag.Parse()
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -118,7 +117,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *timeline != "" {
-		if err := writeTimeline(*timeline, r, w.Name, scheme, *validateTimeline); err != nil {
+		proc := fmt.Sprintf("aossim %s/%s", w.Name, scheme)
+		if err := r.Timeline.WriteTraceFile(*timeline, proc, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "aossim:", err)
 			os.Exit(1)
 		}
@@ -197,42 +197,6 @@ func checkFlags(f cliFlags) error {
 	case f.timeline != "" && f.timelineInterval == 0:
 		return errors.New("-timeline-interval must be at least 1")
 	}
-	return nil
-}
-
-// writeTimeline exports the run's telemetry as a Perfetto-loadable
-// trace_event JSON file, optionally re-reading it through the in-tree
-// schema validator so a bad export fails here, not in the UI.
-func writeTimeline(path string, r aos.Result, name string, scheme aos.Scheme, validate bool) error {
-	if r.Timeline == nil {
-		return fmt.Errorf("timeline: run recorded no telemetry")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	proc := fmt.Sprintf("aossim %s/%s", name, scheme)
-	if err := r.Timeline.WriteTraceEvents(f, proc); err != nil {
-		f.Close()
-		return fmt.Errorf("timeline: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if validate {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		st, err := telemetry.ValidateTraceJSON(data)
-		if err != nil {
-			return fmt.Errorf("timeline: %s fails validation: %w", path, err)
-		}
-		fmt.Printf("timeline %s: %d events, %d counter tracks, %d slices (validated)\n",
-			path, st.Events, len(st.CounterTracks), st.Slices)
-		return nil
-	}
-	fmt.Printf("timeline written to %s\n", path)
 	return nil
 }
 

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"aos/internal/hbt"
 	"aos/internal/heap"
@@ -77,10 +78,6 @@ type Config struct {
 	// UncompressedBounds disables the 8-byte bounds compression (Fig 15
 	// ablation): entries take 16 bytes, so each HBT way holds only four.
 	UncompressedBounds bool
-	// Hardening overrides the allocator hardening features. nil uses
-	// heap.DefaultHardening() when the scheme has a hardened allocator
-	// and no hardening otherwise.
-	Hardening *heap.Hardening
 }
 
 // Machine is the functional simulator state for one process.
@@ -163,10 +160,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	h := heap.New(m, kernel.HeapBase, kernel.HeapLimit)
-	switch {
-	case cfg.Hardening != nil:
-		h.SetHardening(*cfg.Hardening)
-	case cfg.Scheme.HasHardenedAllocator():
+	if cfg.Scheme.HasHardenedAllocator() {
 		h.SetHardening(heap.DefaultHardening())
 	}
 	var mteTags *mem.Memory
@@ -425,14 +419,20 @@ func (m *Machine) Malloc(size uint64) (Ptr, error) {
 	return Ptr{Raw: va, Size: size}, nil
 }
 
-// Calloc is Malloc with zeroing (the zeroing stores are emitted).
+// Calloc is Malloc with zeroing (the zeroing stores are emitted). A total
+// past the allocator's 32-bit size limit, overflowing or not, fails with
+// heap.ErrSizeTooLarge before anything is emitted.
 func (m *Machine) Calloc(n, size uint64) (Ptr, error) {
-	p, err := m.Malloc(n * size)
+	if n != 0 && size > math.MaxUint32/n {
+		return Ptr{}, heap.ErrSizeTooLarge
+	}
+	total := n * size
+	p, err := m.Malloc(total)
 	if err != nil {
 		return Ptr{}, err
 	}
-	m.Mem.Zero(p.VA(), n*size)
-	for off := uint64(0); off < n*size; off += 64 {
+	m.Mem.Zero(p.VA(), total)
+	for off := uint64(0); off < total; off += 64 {
 		m.rawAccess(p.VA()+off, true, DepFree)
 	}
 	return p, nil

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"aos/internal/heap"
 	"aos/internal/instrument"
 	"aos/internal/isa"
 	"aos/internal/kernel"
@@ -498,5 +500,52 @@ func TestPointerArithPreservesPAC(t *testing.T) {
 	}
 	if err := m.Load(q, 256, AccessOpts{}); err == nil {
 		t.Error("derived OOB pointer undetected")
+	}
+}
+
+// TestCalloc: under every scheme Calloc returns zeroed bytes, even in a
+// reused chunk, and a total past the allocator's size limit (wrapping
+// the 64-bit product or not) fails with heap.ErrSizeTooLarge before
+// anything is emitted or allocated.
+func TestCalloc(t *testing.T) {
+	for _, s := range instrument.AllSchemes() {
+		m := newMachine(t, s)
+		var r recorder
+		m.SetSink(&r)
+		dirty, err := m.Malloc(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < 256; off += 8 {
+			m.Mem.WriteU64(dirty.VA()+off, 0xDEADBEEF)
+		}
+		if err := m.Free(dirty); err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.Calloc(32, 8)
+		if err != nil {
+			t.Fatalf("%v: Calloc(32, 8): %v", s, err)
+		}
+		if p.Size != 256 {
+			t.Errorf("%v: Calloc(32, 8) size = %d, want 256", s, p.Size)
+		}
+		for off := uint64(0); off < 256; off += 8 {
+			if v := m.Mem.ReadU64(p.VA() + off); v != 0 {
+				t.Fatalf("%v: Calloc memory not zeroed at +%d: %#x", s, off, v)
+			}
+		}
+
+		stats, emitted, counts := m.Heap.Stats(), len(r.insts), m.Counts()
+		for _, req := range [][2]uint64{{1 << 32, 1 << 32}, {math.MaxUint64, 2}, {1 << 16, 1 << 17}} {
+			if _, err := m.Calloc(req[0], req[1]); !errors.Is(err, heap.ErrSizeTooLarge) {
+				t.Errorf("%v: Calloc(%#x, %#x) err = %v, want ErrSizeTooLarge", s, req[0], req[1], err)
+			}
+		}
+		if got := len(r.insts) - emitted; got != 0 {
+			t.Errorf("%v: rejected Callocs emitted %d instructions", s, got)
+		}
+		if m.Heap.Stats() != stats || m.Counts() != counts {
+			t.Errorf("%v: rejected Callocs changed the heap stats or counts", s)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func (c Cell) Build() (*core.Machine, *cpu.Core, error) {
 
 // Run simulates the cell and summarizes it. Of o it reads only the
 // operational fields: Context (polled mid-run), Sanitize and JobID,
-// TelemetryInterval and OnTimeline, and Sampling and Checkpoints. With
+// TelemetryInterval and OnTimeline, and Sampling and checkpoints. With
 // o.Sampling set the run is SMARTS-sampled: only the schedule's windows
 // run the detailed timing model and cycles are extrapolated from their
 // CPI; otherwise every program instruction runs in detail (runExact).
@@ -230,8 +230,8 @@ func (c Cell) runSampled(ctx context.Context, o Options, p *workload.Profile, m 
 	// A restore replays no instructions, which would desynchronize a
 	// teeing protocol checker mid-stream; sanitized cells sample cold so
 	// the checker sees the complete, uncut trace.
-	if o.Checkpoints != nil && !o.Sanitize {
-		scfg.Store = o.Checkpoints
+	if o.checkpoints != nil && !o.Sanitize {
+		scfg.Store = o.checkpoints
 		scfg.Key = sampling.KeySpec{
 			Benchmark:    p.Name,
 			Seed:         seed,

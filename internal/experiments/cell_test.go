@@ -78,7 +78,7 @@ func TestAblationCellsSampled(t *testing.T) {
 		t.Errorf("explicit default MCQ has checkpoint variant %q, want the default cell's", v)
 	}
 
-	o.Checkpoints = sampling.NewStore()
+	o.checkpoints = sampling.NewStore()
 	if _, err := def.Run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAblationCellsSampled(t *testing.T) {
 	if _, err := mcq.Run(o); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _, _ := o.Checkpoints.Stats(); hits != 0 {
+	if hits, _, _ := o.checkpoints.Stats(); hits != 0 {
 		t.Errorf("MCQ=12 cell restored %d checkpoints of the default cell", hits)
 	}
 	if tl == nil || len(tl.Samples()) == 0 {

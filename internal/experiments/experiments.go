@@ -9,8 +9,9 @@
 // runCells over internal/runner's bounded worker pool. Every Cell builds
 // its own core.Machine + cpu.Core and seeds its own RNG, so runs share no
 // mutable state and Options.Workers only changes wall-clock time: 1-worker
-// and N-worker runs produce byte-identical tables. Every baseline-
-// normalized result is a Table built by normalize.
+// and N-worker runs produce byte-identical tables. A Memo carried across
+// calls runs each distinct cell once. Every baseline-normalized result is
+// a Table built by normalize.
 package experiments
 
 import (
@@ -78,17 +79,22 @@ type Options struct {
 	// from the profile budget exactly as in exact mode). Cycle counts
 	// become statistical estimates; architectural outputs stay exact.
 	Sampling *sampling.Schedule
-	// Checkpoints, when non-nil alongside Sampling, shares window-
-	// boundary machine checkpoints across jobs and invocations: repeat
-	// runs of a cell restore instead of fast-forwarding the prefix.
-	// Safe for concurrent use. Ignored for sanitized runs (a teeing
-	// protocol checker needs the uncut stream, so those sample cold).
-	Checkpoints *sampling.Store
+	// Memo, when non-nil, shares finished cells across the experiments
+	// that carry it: runCells answers a cell the memo holds without
+	// simulating it again. A hit delivers no timeline.
+	Memo *Memo
 	// JobID is the serving layer's correlation id for this run (empty
 	// for batch invocations). Purely diagnostic: it is stamped onto
 	// sanitizer verdicts so tracecheck violations in daemon logs join
 	// the job's trail, and never influences results.
 	JobID string
+
+	// checkpoints, when non-nil alongside Sampling, resumes a sampled
+	// cell from its window-boundary checkpoints and stores those it
+	// lacks (RunConfig.Checkpoints). Ignored for sanitized runs: a
+	// teeing protocol checker needs the uncut stream, so those sample
+	// cold.
+	checkpoints *sampling.Store
 }
 
 func (o Options) ctx() context.Context {

@@ -365,7 +365,7 @@ func RunSpecFull(ctx context.Context, spec SimSpec, cfg RunConfig) (*SimResult, 
 			Window:  spec.Sampling.Window,
 			Gap:     spec.Sampling.Gap,
 		}
-		o.Checkpoints = cfg.Checkpoints
+		o.checkpoints = cfg.Checkpoints
 	}
 	sum, err := Cell{Profile: p, Scheme: scheme, Seed: spec.Seed, Instructions: spec.Instructions}.Run(o)
 	if err != nil {

@@ -40,7 +40,6 @@ func TestSampledErrorBound(t *testing.T) {
 	}
 	sampledOpts := exactOpts
 	sampledOpts.Sampling = &sampling.Schedule{Windows: 8, Detail: 1_000, Window: 4_000}
-	sampledOpts.Checkpoints = sampling.NewStore()
 	sampled, err := RunMatrix(sampledOpts)
 	if err != nil {
 		t.Fatal(err)

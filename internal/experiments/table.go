@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"aos/internal/instrument"
 	"aos/internal/runner"
+	"aos/internal/sampling"
 	"aos/internal/stats"
 	"aos/internal/workload"
 )
@@ -36,30 +38,96 @@ type cellRuns struct {
 	failed    []JobError
 }
 
-// runCells runs every cell as one job on the worker pool, labelled
-// "exp: cell" in the progress events. It is the one place experiments
-// fan cells out.
+// runCells runs every cell o.Memo does not hold as one job on the worker
+// pool, labelled "exp: cell" in the progress events, and records each
+// success in the memo. It is the one place experiments fan cells out.
 func runCells(exp string, cells []Cell, o Options) cellRuns {
-	jobs := make([]runner.Job[Summary], len(cells))
-	for i, c := range cells {
+	runs := cellRuns{
+		summaries: make(map[Cell]Summary, len(cells)),
+		walls:     make(map[Cell]time.Duration, len(cells)),
+	}
+	var todo []Cell
+	for _, c := range cells {
+		if r, ok := o.Memo.get(c, o); ok {
+			runs.summaries[c], runs.walls[c] = r.Value, r.Wall
+			continue
+		}
+		todo = append(todo, c)
+	}
+	jobs := make([]runner.Job[Summary], len(todo))
+	for i, c := range todo {
 		jobs[i] = runner.Job[Summary]{
 			Label: exp + ": " + c.String(),
 			Run:   func() (Summary, error) { return runJob(c, o) },
 		}
 	}
-	runs := cellRuns{
-		summaries: make(map[Cell]Summary, len(cells)),
-		walls:     make(map[Cell]time.Duration, len(cells)),
-	}
 	for i, r := range runner.Run(o.ctx(), jobs, o.runnerOptions()) {
+		c := todo[i]
 		if r.Err != nil {
-			runs.failed = append(runs.failed, JobError{Cell: cells[i], Err: r.Err})
+			runs.failed = append(runs.failed, JobError{Cell: c, Err: r.Err})
 			continue
 		}
-		runs.summaries[cells[i]] = r.Value
-		runs.walls[cells[i]] = r.Wall
+		runs.summaries[c], runs.walls[c] = r.Value, r.Wall
+		o.Memo.put(c, o, r)
 	}
 	return runs
+}
+
+// Memo holds the cells that finished under the Options carrying it, each
+// with its Summary and wall time, so the experiments of one invocation
+// simulate each distinct cell once (`aosbench -exp all` repeats 131 of
+// the matrix's cells in Fig 15, the resize study, the ablations and the
+// scheme comparison). A cell's outcome is a function of the cell, its
+// profile's value, the sampling schedule and the sanitizer switch, which
+// together key the memo, so a hit reports what a fresh run would. The
+// zero value is empty and ready; a Memo is safe for concurrent use.
+type Memo struct {
+	mu   sync.Mutex
+	runs map[memoKey]runner.Result[Summary]
+}
+
+// memoKey identifies a cell's outcome. It holds the profile by value:
+// workload.SPEC returns fresh pointers on every call.
+type memoKey struct {
+	cell     Cell // Profile nil
+	profile  workload.Profile
+	sampled  bool
+	schedule sampling.Schedule
+	sanitize bool
+}
+
+func newMemoKey(c Cell, o Options) memoKey {
+	k := memoKey{profile: *c.Profile, sanitize: o.Sanitize}
+	if o.Sampling != nil {
+		k.sampled, k.schedule = true, *o.Sampling
+	}
+	c.Profile = nil
+	k.cell = c
+	return k
+}
+
+// get returns the finished run of c under o (false for a nil memo).
+func (m *Memo) get(c Cell, o Options) (runner.Result[Summary], bool) {
+	if m == nil {
+		return runner.Result[Summary]{}, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.runs[newMemoKey(c, o)]
+	return r, ok
+}
+
+// put records a finished run of c under o (a no-op on a nil memo).
+func (m *Memo) put(c Cell, o Options, r runner.Result[Summary]) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.runs == nil {
+		m.runs = make(map[memoKey]runner.Result[Summary])
+	}
+	m.runs[newMemoKey(c, o)] = r
 }
 
 // column is one configuration of a table of runs: its label and the edit

@@ -533,70 +533,6 @@ func (a *Allocator) coalesceAndBin(chunk, csize uint64) {
 	a.binPush(chunk, csize)
 }
 
-// Memalign allocates size bytes aligned to the given power-of-two boundary
-// (>= 16). It over-allocates and returns the first aligned payload address
-// inside the chunk; the allocator remembers the adjusted pointer, so Free
-// works on the returned value directly.
-func (a *Allocator) Memalign(alignment, size uint64) (uint64, error) {
-	if alignment == 0 || alignment&(alignment-1) != 0 {
-		return 0, fmt.Errorf("heap: memalign: alignment %d not a power of two", alignment)
-	}
-	if alignment <= Align {
-		return a.Malloc(size)
-	}
-	// Worst case we need alignment-Align extra bytes of slack, plus room
-	// to keep the prefix a valid free chunk when we split it off.
-	// Malloc counts the padded request in the peak; keep the peak from
-	// before the call and raise it only to the final BytesIn below.
-	pad := alignment + MinChunk
-	peak := a.stats.MaxBytes
-	p, err := a.Malloc(size + pad)
-	if err != nil {
-		return 0, err
-	}
-	aligned := (p + alignment - 1) &^ (alignment - 1)
-	if aligned != p {
-		if aligned-p < MinChunk {
-			aligned += alignment
-		}
-		// Split the chunk: [chunk .. aligned-16) becomes a free chunk,
-		// the remainder becomes the aligned allocation.
-		chunk := p - HeaderSize
-		csize := a.chunkSize(chunk)
-		prefix := (aligned - HeaderSize) - chunk
-		newChunk := chunk + prefix
-		flags := a.sizeWord(chunk) & prevInUse
-		a.setHeader(chunk, prefix|flags)
-		a.setHeader(newChunk, (csize-prefix)|0) // PREV_INUSE=0: prefix is free
-		a.setPrevSize(newChunk, prefix)
-		a.binPush(chunk, prefix)
-		a.sizes.Delete(p)
-	}
-	// Either way the allocation is size bytes at aligned, not the padded
-	// request Malloc recorded.
-	a.sizes.Set(aligned, size)
-	a.stats.BytesIn -= pad
-	a.stats.MaxBytes = max(peak, a.stats.BytesIn)
-	if a.hard.Canary {
-		a.writeCanary(aligned, size)
-	}
-	return aligned, nil
-}
-
-// Calloc allocates zeroed memory for n objects of size bytes each.
-func (a *Allocator) Calloc(n, size uint64) (uint64, error) {
-	if n != 0 && size > 0xFFFFFFFF/n {
-		return 0, ErrSizeTooLarge
-	}
-	total := n * size
-	ptr, err := a.Malloc(total)
-	if err != nil {
-		return 0, err
-	}
-	a.mem.Zero(ptr, total)
-	return ptr, nil
-}
-
 // Realloc resizes an allocation, moving it if necessary.
 func (a *Allocator) Realloc(ptr, size uint64) (uint64, error) {
 	if ptr == 0 {

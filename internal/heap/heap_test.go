@@ -2,7 +2,6 @@ package heap
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -207,27 +206,6 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-func TestCallocZeroes(t *testing.T) {
-	a, m := newTestAllocator(t)
-	p, _ := a.Malloc(256)
-	m.WriteU64(p, 0xDEADBEEF)
-	if err := a.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	q, err := a.Calloc(32, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := uint64(0); off < 256; off += 8 {
-		if v := m.ReadU64(q + off); v != 0 {
-			t.Fatalf("Calloc memory not zeroed at +%d: %#x", off, v)
-		}
-	}
-	if _, err := a.Calloc(1<<20, 1<<20); !errors.Is(err, ErrSizeTooLarge) {
-		t.Errorf("Calloc overflow err = %v, want ErrSizeTooLarge", err)
-	}
-}
-
 func TestRealloc(t *testing.T) {
 	a, m := newTestAllocator(t)
 	p, _ := a.Malloc(64)
@@ -397,129 +375,6 @@ func BenchmarkMallocFree(b *testing.B) {
 		}
 		if err := a.Free(p); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestMemalign(t *testing.T) {
-	a, _ := newTestAllocator(t)
-	for _, align := range []uint64{16, 64, 256, 4096} {
-		p, err := a.Memalign(align, 100)
-		if err != nil {
-			t.Fatalf("Memalign(%d): %v", align, err)
-		}
-		if p%align != 0 {
-			t.Errorf("Memalign(%d) returned %#x", align, p)
-		}
-		if !a.IsLive(p) {
-			t.Errorf("Memalign(%d) result not tracked as live", align)
-		}
-		if err := a.Free(p); err != nil {
-			t.Errorf("Free(Memalign(%d)): %v", align, err)
-		}
-	}
-	if _, err := a.Memalign(48, 100); err == nil {
-		t.Error("Memalign accepted a non-power-of-two alignment")
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemalignInterleaved(t *testing.T) {
-	a, _ := newTestAllocator(t)
-	var ptrs []uint64
-	for i := 0; i < 50; i++ {
-		p, err := a.Memalign(1<<uint(5+i%6), uint64(16+i*24))
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := a.Malloc(uint64(32 + i*8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrs = append(ptrs, p, q)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ptrs {
-		if err := a.Free(p); err != nil {
-			t.Fatalf("Free(%#x): %v", p, err)
-		}
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats().Live != 0 {
-		t.Errorf("live = %d", a.Stats().Live)
-	}
-}
-
-// TestMemalignAccounting covers both Memalign paths. After a 24-byte
-// filler, Malloc's own pointer for the padded request is already 32-byte
-// aligned and is returned as is; without it, the pointer must be split
-// off a free prefix. Either way the allocation is the requested 100
-// bytes: its RequestedSize, its share of BytesIn and of the peak
-// MaxBytes, and (hardened) the canary right after its last byte.
-func TestMemalignAccounting(t *testing.T) {
-	for _, filler := range []bool{false, true} {
-		for _, hard := range []Hardening{{}, {Canary: true}} {
-			a, m := newTestAllocator(t)
-			a.SetHardening(hard)
-			name := fmt.Sprintf("filler=%v canary=%v", filler, hard.Canary)
-			// Malloc carves the padded request at start. Its pointer,
-			// start+16, is 32-aligned only after the filler; otherwise a
-			// free prefix is cut off up to the first 32-aligned pointer
-			// at least MinChunk further on.
-			padded := chunkSizeFor(100 + 32 + MinChunk + a.canarySlack())
-			start, prefix := uint64(testBase), uint64(48)
-			if filler {
-				f, err := a.Malloc(24)
-				if err != nil {
-					t.Fatal(err)
-				}
-				start, prefix = f-HeaderSize+chunkSizeFor(24+a.canarySlack()), 0
-			}
-			before, peak := a.Stats().BytesIn, a.Stats().MaxBytes
-			p, err := a.Memalign(32, 100)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if p != start+HeaderSize+prefix || a.chunkSizeNoTrace(p-HeaderSize) != padded-prefix {
-				t.Fatalf("%s: Memalign(32, 100) = %#x in a %d-byte chunk, want %#x in %d bytes",
-					name, p, a.chunkSizeNoTrace(p-HeaderSize), start+HeaderSize+prefix, padded-prefix)
-			}
-			if got, ok := a.RequestedSize(p); !ok || got != 100 {
-				t.Errorf("%s: RequestedSize = %d, %v; want 100", name, got, ok)
-			}
-			if got := a.Stats().BytesIn - before; got != 100 {
-				t.Errorf("%s: BytesIn grew by %d, want 100", name, got)
-			}
-			// The padded request Memalign carves is not payload: the peak
-			// rises to the new BytesIn and no further.
-			if got, want := a.Stats().MaxBytes, max(peak, before+100); got != want {
-				t.Errorf("%s: MaxBytes = %d, want %d", name, got, want)
-			}
-			if err := a.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if hard.Canary {
-				if got := m.ReadU64(p + 100); got != canaryWord(p) {
-					t.Errorf("%s: word after the payload is %#x, not the canary", name, got)
-				}
-				m.WriteU8(p+100, 0) // a one-byte overflow
-				if err := a.Free(p); !errors.Is(err, ErrCanaryClobbered) {
-					t.Errorf("%s: Free after a one-byte overflow = %v, want ErrCanaryClobbered", name, err)
-				}
-				continue
-			}
-			if err := a.Free(p); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if got := a.Stats().BytesIn; got != before {
-				t.Errorf("%s: BytesIn after Free = %d, want %d", name, got, before)
-			}
 		}
 	}
 }

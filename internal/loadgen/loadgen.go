@@ -74,8 +74,6 @@ type Config struct {
 	// (<= 0 uses 0.99); SLOP99 the p99 latency objective (0 = ungated).
 	SLOAvailability float64
 	SLOP99          time.Duration
-	// Client overrides the HTTP client (nil uses a 2-minute-timeout one).
-	Client *http.Client
 }
 
 // Run drives the configured load against the daemon and returns the
@@ -119,10 +117,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if avail <= 0 || avail >= 1 {
 		avail = 0.99
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
-	}
+	client := &http.Client{Timeout: 2 * time.Minute}
 
 	r := &runner{
 		cfg:    cfg,

@@ -39,7 +39,6 @@ import (
 	"aos/internal/experiments"
 	"aos/internal/instrument"
 	"aos/internal/runner"
-	"aos/internal/sampling"
 	"aos/internal/telemetry"
 	"aos/internal/tracespan"
 )
@@ -76,9 +75,6 @@ type Config struct {
 	// exceeds it (0 = unlimited) — the service's overload guard against
 	// full-paper-scale runs on an interactive daemon.
 	MaxInstructions uint64
-	// BaseContext is the daemon lifetime; async jobs run under it (nil =
-	// context.Background()).
-	BaseContext context.Context
 	// TelemetryInterval attaches the flight recorder to every fresh run
 	// (commit-cycle sampling cadence; 0 disables). Sampled jobs carry a
 	// telemetry summary in their job document; results themselves are
@@ -141,11 +137,6 @@ type Server struct {
 	cache   *Cache
 	metrics *metrics
 	mux     *http.ServeMux
-	// checkpoints is the daemon-lifetime store for sampled jobs: window
-	// checkpoints populated by one sampled run are resumed by every later
-	// sampled run of the same cell (results are byte-identical either
-	// way, so the store never changes what the cache sees).
-	checkpoints *sampling.Store
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -169,26 +160,21 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.BaseContext
-	if base == nil {
-		base = context.Background()
-	}
-	baseCtx, baseCancel := context.WithCancel(base)
+	baseCtx, baseCancel := context.WithCancel(context.Background())
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Server{
-		cfg:         cfg,
-		pool:        runner.NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:       cache,
-		metrics:     &metrics{sloObjective: cfg.SLOAvailability},
-		baseCtx:     baseCtx,
-		baseCancel:  baseCancel,
-		log:         logger,
-		start:       time.Now(),
-		jobs:        make(map[string]*job),
-		checkpoints: sampling.NewStore(),
+		cfg:        cfg,
+		pool:       runner.NewPool(cfg.Workers, cfg.QueueDepth),
+		cache:      cache,
+		metrics:    &metrics{sloObjective: cfg.SLOAvailability},
+		baseCtx:    baseCtx,
+		baseCancel: baseCancel,
+		log:        logger,
+		start:      time.Now(),
+		jobs:       make(map[string]*job),
 	}
 	// Pool workers bracket every task with records carrying the job's
 	// correlation id, continuing the trail the service layer starts.
@@ -372,7 +358,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	runSpan := j.trace.StartSpan("experiments_run")
 	res, tl, err := runSpecFull(ctx, j.spec, experiments.RunConfig{
 		TelemetryInterval: s.cfg.TelemetryInterval,
-		Checkpoints:       s.checkpoints,
 		JobID:             j.id,
 		OnProgress: func(done, total uint64) {
 			ev := jobEvent{Type: "progress", Done: done, Total: total}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -68,6 +69,38 @@ func (t *Timeline) WriteTraceEvents(w io.Writer, proc string) error {
 		return fmt.Errorf("telemetry: nil timeline")
 	}
 	return WriteMergedTrace(w, proc, t, nil)
+}
+
+// WriteTraceFile writes the timeline to path as a Perfetto-loadable JSON
+// document, re-reads the written bytes through ValidateTraceJSON, so a
+// malformed export fails the command rather than the trace viewer, and
+// reports the file on report in one "(validated)" line.
+func (t *Timeline) WriteTraceFile(path, proc string, report io.Writer) error {
+	if t == nil {
+		return fmt.Errorf("telemetry: nil timeline")
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteTraceEvents(f, proc); err != nil {
+		f.Close()
+		return fmt.Errorf("timeline: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	st, err := ValidateTraceJSON(data)
+	if err != nil {
+		return fmt.Errorf("timeline: %s fails validation: %w", path, err)
+	}
+	_, err = fmt.Fprintf(report, "timeline %s: %d events, %d counter tracks, %d slices (validated)\n",
+		path, st.Events, len(st.CounterTracks), st.Slices)
+	return err
 }
 
 // WriteMergedTrace writes one trace_event document holding both the

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -194,5 +197,45 @@ func TestSummarize(t *testing.T) {
 	var nilTL *Timeline
 	if nilTL.Summarize() != nil {
 		t.Error("nil timeline summary not nil")
+	}
+}
+
+// TestWriteTraceFile: the file holds exactly WriteTraceEvents' document,
+// the report is one "(validated)" line naming it, and a nil timeline
+// fails without creating a file.
+func TestWriteTraceFile(t *testing.T) {
+	tl := mergeFixture(t)
+	path := filepath.Join(t.TempDir(), "tl.json")
+	var report bytes.Buffer
+	if err := tl.WriteTraceFile(path, "proc", &report); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tl.WriteTraceEvents(&want, "proc"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("written file differs from WriteTraceEvents:\n%s\nvs\n%s", got, want.Bytes())
+	}
+	st, err := ValidateTraceJSON(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("timeline %s: %d events, %d counter tracks, %d slices (validated)\n",
+		path, st.Events, len(st.CounterTracks), st.Slices)
+	if report.String() != line {
+		t.Errorf("report = %q, want %q", report.String(), line)
+	}
+
+	missing := filepath.Join(t.TempDir(), "nil.json")
+	if err := (*Timeline)(nil).WriteTraceFile(missing, "proc", &report); err == nil {
+		t.Error("nil timeline written without an error")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("nil timeline left a file behind (stat: %v)", err)
 	}
 }
