@@ -25,8 +25,9 @@ import (
 
 // simspeedSchema versions the BENCH_simspeed.json layout. v2 adds the
 // "sampled" block and the top-level effective_insts_per_sec /
-// effective_speedup trend figures.
-const simspeedSchema = "aosbench/simspeed/v2"
+// effective_speedup trend figures; v3 adds the cold sampled run's
+// checkpoint count and store size.
+const simspeedSchema = "aosbench/simspeed/v3"
 
 type simspeedRun struct {
 	Insts         uint64  `json:"insts"`
@@ -48,10 +49,13 @@ type simspeedSampledRun struct {
 }
 
 // simspeedSampled records the sampled-mode measurement: the normalized
-// U/W/F schedule and the per-run effective throughput. "Effective"
-// counts the measured region's instructions (the same basis as the exact
-// runs' insts_per_sec) against the sampled wall, so the ratio of the two
-// is the sampled mode's real-time speedup.
+// U/W/F schedule, the per-run effective throughput, and what the cold
+// run's checkpoints hold. "Effective" counts the measured region's
+// instructions (the same basis as the exact runs' insts_per_sec) against
+// the sampled wall, so the ratio of the two is the sampled mode's
+// real-time speedup. StoreMiB is the live Go heap's growth across the
+// cold run, each side read after a collection: the checkpoint store it
+// filled.
 type simspeedSampled struct {
 	Insts         uint64               `json:"insts"`
 	Warmup        uint64               `json:"warmup"`
@@ -60,6 +64,8 @@ type simspeedSampled struct {
 	Window        uint64               `json:"window"`
 	Gap           uint64               `json:"gap"`
 	DetailedInsts uint64               `json:"detailed_insts"`
+	Checkpoints   int                  `json:"checkpoints"`
+	StoreMiB      float64              `json:"store_mib"`
 	Runs          []simspeedSampledRun `json:"runs"`
 	BestEffective float64              `json:"best_effective_insts_per_sec"`
 }
@@ -111,12 +117,17 @@ func benchSampled(insts uint64, runs int) (*simspeedSampled, error) {
 	}
 	sm.DetailedInsts = uint64(sm.Windows) * (sm.Detail + sm.Window)
 	store := sampling.NewStore()
+	heap0 := liveHeap()
 	for i := 0; i <= runs; i++ { // run 0 is cold and excluded from BestEffective
 		start := time.Now() //aoslint:allow detrand — wall measurement harness; results never feed a figure
 		_, _, err := experiments.RunSpecFull(context.Background(), spec, experiments.RunConfig{Checkpoints: store})
 		wall := time.Since(start) //aoslint:allow detrand — see above
 		if err != nil {
 			return nil, fmt.Errorf("benchspeed: sampled run: %w", err)
+		}
+		if i == 0 {
+			sm.StoreMiB = float64(liveHeap()-heap0) / (1 << 20)
+			_, _, sm.Checkpoints = store.Stats()
 		}
 		run := simspeedSampledRun{Resumed: i > 0, WallNS: wall.Nanoseconds()}
 		if wall > 0 {
@@ -133,7 +144,16 @@ func benchSampled(insts uint64, runs int) (*simspeedSampled, error) {
 		fmt.Printf("benchspeed: sampled run %d/%d (%s): %d insts in %v (%.0f effective insts/s)\n",
 			i+1, runs+1, mode, sm.Insts, wall.Round(time.Millisecond), run.EffectiveInstsPerSec)
 	}
+	fmt.Printf("benchspeed: the cold sampled run stored %d checkpoints in %.1f MiB\n", sm.Checkpoints, sm.StoreMiB)
 	return &sm, nil
+}
+
+// liveHeap returns the Go heap's live bytes after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // benchSpeed runs the throughput harness and writes the JSON document.

@@ -99,33 +99,54 @@ func TestPortSchedAdvanceBeyondWindow(t *testing.T) {
 	}
 }
 
-// TestPortSchedCloneRestore: a scheduler restored from a clone grants the
-// same cycles as the original continuing, and shares no storage with the
-// clone, the overflow spill included.
+// TestPortSchedCloneRestore: a scheduler restored from a saved copy holds
+// the original's ring and grants the same cycles as the original
+// continuing, whatever it held before, and shares no storage with the
+// saved copy, the overflow spill included. The saved span wraps the ring
+// in the second case.
 func TestPortSchedCloneRestore(t *testing.T) {
-	s := newPortSched(1)
-	for i := uint64(0); i < 64; i++ {
-		s.reserve(i * 7)
-		s.reserve(portWindow + i*3) // beyond the window: spills
-	}
-	s.advance(100)
-	if len(s.overflow) == 0 {
-		t.Fatal("test is vacuous: nothing spilled to the overflow map")
-	}
-	snap := s.clone()
-	grants := func(p *portSched) []uint64 {
-		var out []uint64
+	for _, base := range []uint64{100, 3*portWindow - 40} {
+		s := newPortSched(1)
 		for i := uint64(0); i < 64; i++ {
-			out = append(out, p.reserve(i*5), p.reserve(portWindow+i*2))
+			s.reserve(i * 7)
+			s.reserve(portWindow + i*3) // beyond the window: spills
 		}
-		return out
-	}
-	want := grants(&s)
-	for trial := 0; trial < 2; trial++ {
+		s.advance(base)
+		for i := uint64(0); i < 64; i++ {
+			s.reserve(base + i*3)
+		}
+		if len(s.overflow) == 0 && base == 100 {
+			t.Fatal("test is vacuous: nothing spilled to the overflow map")
+		}
+		snap := s.save()
+		atSave := slices.Clone(s.ring)
+		span := 0 // cycles from base through the last one reserved
+		for c := s.base; c < s.base+portWindow; c++ {
+			if s.ring[c&s.mask] != 0 {
+				span = int(c-s.base) + 1
+			}
+		}
+		if len(snap.ring) != span {
+			t.Fatalf("base %d: saved %d ring slots, want the %d of the reserved span", base, len(snap.ring), span)
+		}
+		grants := func(p *portSched) []uint64 {
+			var out []uint64
+			for i := uint64(0); i < 64; i++ {
+				out = append(out, p.reserve(base+i*5), p.reserve(base+portWindow+i*2))
+			}
+			return out
+		}
+		want := grants(&s)
 		r := newPortSched(1)
-		r.restore(&snap)
-		if got := grants(&r); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: restored scheduler granted %v, want %v", trial, got, want)
+		for trial := 0; trial < 2; trial++ {
+			// The second trial restores over the first one's reservations.
+			r.restore(&snap)
+			if !slices.Equal(r.ring, atSave) {
+				t.Fatalf("base %d trial %d: restored ring differs from the original's at the save", base, trial)
+			}
+			if got := grants(&r); !slices.Equal(got, want) {
+				t.Fatalf("base %d trial %d: restored scheduler granted %v, want %v", base, trial, got, want)
+			}
 		}
 	}
 }

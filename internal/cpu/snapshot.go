@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 
@@ -9,17 +10,46 @@ import (
 	"aos/internal/mcu"
 )
 
-// clone returns a copy of the scheduler that shares no storage with it.
-func (s portSched) clone() portSched {
-	s.ring = append([]uint8(nil), s.ring...)
+// save returns a copy of the scheduler for a checkpoint, sharing no
+// storage with it. Its ring holds only the window's counts in cycle order,
+// from base through the last reserved cycle (nil when none is reserved):
+// every reservation lies in [base, base+len(ring)) by advance()'s
+// invariant, so the rest of the window is zero.
+func (s portSched) save() portSched {
+	i := s.base & s.mask
+	head := s.ring[i:] // cycles from base to where the window wraps
+	tail := trimZeros(s.ring[:i])
+	if len(tail) == 0 {
+		head = trimZeros(head)
+	}
+	s.ring = nil
+	if len(head)+len(tail) > 0 {
+		s.ring = append(append(make([]uint8, 0, len(head)+len(tail)), head...), tail...)
+	}
 	s.overflow = cloneOverflow(s.overflow)
 	return s
 }
 
-// restore rewinds the scheduler to st's reservations in its own ring; its
-// width and mask are construction-time and stay.
+// trimZeros returns b without its trailing zeros, testing eight at a time:
+// a port's window is 128 KiB, and its reservations span a few KiB.
+func trimZeros(b []uint8) []uint8 {
+	n := len(b)
+	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return b[:n]
+}
+
+// restore rewinds the scheduler to a saved one's reservations in its own
+// ring, clearing the rest; its width and mask are construction-time and
+// stay.
 func (s *portSched) restore(st *portSched) {
-	copy(s.ring, st.ring)
+	clear(s.ring)
+	n := copy(s.ring[st.base&s.mask:], st.ring)
+	copy(s.ring, st.ring[n:])
 	s.base = st.base
 	s.overflow = cloneOverflow(st.overflow)
 }
@@ -46,17 +76,34 @@ func refill[T any](own, src []T) []T {
 // system and predictor, every occupancy ring and clock, and the statistics
 // counters. Runtime wiring — config, the wayScratch buffer, the observer,
 // telemetry probes, and the consumption mode — is NOT captured; Restore
-// keeps the target core's wiring.
+// keeps the target core's wiring. It holds only state a resumed run can
+// observe: the bndstr drain entries still draining (coreState.bndstrDrain
+// is nil) and each port's reservations (see portSched.save).
 type CoreState struct {
 	coreState
-	hier *cache.HierarchyState
-	bp   *bpred.State
-	bwb  *mcu.BWBState // nil when the BWB is disabled
+	drains []pacDrain
+	hier   *cache.HierarchyState
+	bp     *bpred.State
+	bwb    *mcu.BWBState // nil when the BWB is disabled
 }
 
-// Snapshot deep-copies the core's simulated state (~1 MB, dominated by the
-// bndstr drain table and the port windows). The snapshot is immutable and
-// reusable for any number of Restores.
+// pacDrain is one live bndstrDrain entry: the drain cycle of pac's most
+// recent bndstr.
+type pacDrain struct {
+	pac   uint16
+	cycle uint64
+}
+
+// Snapshot deep-copies the core's simulated state (~1.1 MiB, dominated by
+// the L2's 1 MiB of lines). The snapshot is immutable and reusable for any
+// number of Restores.
+//
+// It first drops the drain entries no later instruction can observe, in
+// the live core too, so the core it leaves and every core restored from
+// the snapshot hold the same table. fetchCycle never decreases, every
+// later instruction issues at or after fetchCycle+FrontendDepth, and the
+// table is read only as drain > issue, so an entry at or below that floor
+// acts exactly as 0 (never stored) does.
 func (c *Core) Snapshot() *CoreState {
 	s := &CoreState{coreState: c.coreState, hier: c.hier.Snapshot(), bp: c.bp.Snapshot()}
 	if c.bwb != nil {
@@ -68,8 +115,16 @@ func (c *Core) Snapshot() *CoreState {
 	s.mcqRing = append([]uint64(nil), c.mcqRing...)
 	s.dMSHR = append([]uint64(nil), c.dMSHR...)
 	s.bMSHR = append([]uint64(nil), c.bMSHR...)
-	s.bndstrDrain = append([]uint64(nil), c.bndstrDrain...)
-	s.port, s.dPort = c.port.clone(), c.dPort.clone()
+	s.bndstrDrain = nil
+	floor := c.fetchCycle + uint64(c.cfg.FrontendDepth)
+	for pac, d := range c.bndstrDrain {
+		if d > floor {
+			s.drains = append(s.drains, pacDrain{uint16(pac), d})
+		} else if d != 0 {
+			c.bndstrDrain[pac] = 0
+		}
+	}
+	s.port, s.dPort = c.port.save(), c.dPort.save()
 	return s
 }
 
@@ -103,7 +158,11 @@ func (c *Core) Restore(s *CoreState) error {
 	c.mcqRing = refill(own.mcqRing, s.mcqRing)
 	c.dMSHR = refill(own.dMSHR, s.dMSHR)
 	c.bMSHR = refill(own.bMSHR, s.bMSHR)
-	c.bndstrDrain = refill(own.bndstrDrain, s.bndstrDrain)
+	c.bndstrDrain = own.bndstrDrain
+	clear(c.bndstrDrain)
+	for _, d := range s.drains {
+		c.bndstrDrain[d.pac] = d.cycle
+	}
 	c.port, c.dPort = own.port, own.dPort
 	c.port.restore(&s.port)
 	c.dPort.restore(&s.dPort)

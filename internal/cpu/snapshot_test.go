@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aos/internal/core"
@@ -106,7 +107,10 @@ func scatteredStream(t testing.TB) []isa.Inst {
 // from exactly the original's state at the snapshot, however the original
 // or an earlier restored core ran on, and produce exactly the same cycle
 // count and statistics as the original running straight through the same
-// stream.
+// stream. The snapshot is taken while the drain table holds stale entries
+// and both ports hold reservations, and the second restore lands on the
+// core the first one ran on, over drain entries and reservations the
+// snapshot does not hold.
 func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
 	for _, stream := range [][]isa.Inst{genStream(t, instrument.AOS, 40_000), scatteredStream(t)} {
 		half := len(stream) / 2
@@ -115,7 +119,24 @@ func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
 		for i := range stream[:half] {
 			a.Emit(&stream[i])
 		}
+		floor := a.fetchCycle + uint64(a.cfg.FrontendDepth)
+		stale := 0
+		for _, d := range a.bndstrDrain {
+			if d != 0 && d <= floor {
+				stale++
+			}
+		}
+		reserved := func(s portSched) bool { return slices.ContainsFunc(s.ring, func(n uint8) bool { return n != 0 }) }
+		if stale == 0 || !reserved(a.port) || !reserved(a.dPort) {
+			t.Fatalf("test is vacuous: %d stale drain entries, bounds port reserved %v, data port %v",
+				stale, reserved(a.port), reserved(a.dPort))
+		}
 		snap := a.Snapshot()
+		for pac, d := range a.bndstrDrain {
+			if d != 0 && d <= floor {
+				t.Fatalf("Snapshot left the stale drain entry %d of PAC %d below floor %d", d, pac, floor)
+			}
+		}
 		// fmt renders every field, buffer contents included: a copy of
 		// the state that shares nothing with the core or its snapshot.
 		atSnap := fmt.Sprint(a.coreState)
@@ -125,8 +146,8 @@ func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
 		want := a.Finalize()
 		wantLC := a.LastCommit()
 
+		b := New(DefaultConfig())
 		for trial := 0; trial < 2; trial++ {
-			b := New(DefaultConfig())
 			if err := b.Restore(snap); err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,15 @@ import (
 )
 
 // tableGoldenDigest pins the observable behaviour of the table API over a
-// seeded operation stream (see TestTableGoldenDigest). It changes only when
-// the table's semantics do; how the table stores its rows must not move it.
+// seeded operation stream (see TestTableGoldenDigest) from a one-way
+// table. It changes only when the table's semantics do; how the table
+// stores its rows must not move it.
 const tableGoldenDigest = "5902decf8da830262cbf836859a88ac070685ed6e1ee9ff5d4afb5ad53c48bb5"
+
+// wideTableGoldenDigest pins the same stream from 16- and 64-way tables,
+// whose rows (1 and 4 KiB) span several of the address space's
+// copy-on-write granules.
+const wideTableGoldenDigest = "6715e566af45eeb377f5e5f6da638084e4f97e6f9cf4b3b27ef5d5b475024038"
 
 // TestTableGoldenDigest drives a seeded stream of Insert, Lookup,
 // LookupFrom, Clear and WriteSlot calls — with the way-granular MCU reads
@@ -24,34 +30,42 @@ const tableGoldenDigest = "5902decf8da830262cbf836859a88ac070685ed6e1ee9ff5d4afb
 // apart, so the tables' present pages are separated by absent ones. It
 // hashes every returned way, flag and error, Live() after every call,
 // each step's traffic, and the contents of every used row of every table
-// after each migration and at the end, for both entry sizes.
+// after each migration and at the end, for both entry sizes and for each
+// starting associativity.
 func TestTableGoldenDigest(t *testing.T) {
-	h := sha256.New()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	flag := func(ok bool) {
-		if ok {
-			put(1)
-		} else {
-			put(0)
+	for _, tc := range []struct {
+		assocs []int
+		digest string
+	}{{[]int{1}, tableGoldenDigest}, {[]int{16, 64}, wideTableGoldenDigest}} {
+		h := sha256.New()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.BigEndian.PutUint64(b[:], v)
+			h.Write(b[:])
 		}
-	}
-	for _, entryBytes := range []int{8, 16} {
-		goldenStream(t, entryBytes, put, flag, h)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != tableGoldenDigest {
-		t.Errorf("table digest = %s, want %s", got, tableGoldenDigest)
+		flag := func(ok bool) {
+			if ok {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+		for _, assoc := range tc.assocs {
+			for _, entryBytes := range []int{8, 16} {
+				goldenStream(t, assoc, entryBytes, put, flag, h)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			t.Errorf("table digest from %v ways = %s, want %s", tc.assocs, got, tc.digest)
+		}
 	}
 }
 
-func goldenStream(t *testing.T, entryBytes int, put func(uint64), flag func(bool), h hash.Hash) {
+func goldenStream(t *testing.T, assoc, entryBytes int, put func(uint64), flag func(bool), h hash.Hash) {
 	rng := rand.New(rand.NewSource(int64(entryBytes)))
 	m := mem.New()
 	next := uint64(tblBase)
-	tb, err := NewTableEntrySize(m, next, 1, entryBytes)
+	tb, err := NewTableEntrySize(m, next, assoc, entryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,8 +94,9 @@ func TestTableSnapshotComplete(t *testing.T) {
 	checkpointed := map[string]bool{"tableState": true}
 	operational := map[string]bool{
 		// mem is the runtime wiring to the simulated address space; the
-		// space itself is checkpointed by mem.Memory.Snapshot.
-		"mem": true,
+		// space itself is checkpointed by mem.Memory.Snapshot. wide is
+		// row's copy of a wide row.
+		"mem": true, "wide": true,
 	}
 	typ := reflect.TypeOf(Table{})
 	for i := 0; i < typ.NumField(); i++ {

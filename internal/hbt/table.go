@@ -24,11 +24,16 @@ const (
 // Table is a hashed bounds table instance at a fixed base and associativity.
 // Resizing allocates a fresh Table (see Migration); a Table itself never
 // moves. Its entries live only in simulated memory, which checkpoints share
-// copy-on-write; an operation reads the PAC's row through one page lookup
-// (the base is page-aligned and a row is at most one page).
+// copy-on-write; an operation reads the PAC's row through one view of the
+// memory granule that holds it, or a copy of a row wider than a granule
+// (see row).
 type Table struct {
 	mem *mem.Memory
 	tableState
+
+	// wide holds the copy of the last row wider than a granule that row
+	// read.
+	wide []byte
 }
 
 // tableState is the table's bookkeeping, the one field list that
@@ -110,12 +115,27 @@ func (t *Table) slotAddr(pac uint16, w, slot int) uint64 {
 	return t.WayAddr(pac, w) + uint64(slot)*t.entrySize
 }
 
-// row returns pac's row as a read-only view of its page (nil when the page
-// was never written, so every entry reads as zero), and the address of its
-// first slot. See mem.Memory.View for the view's lifetime.
+// row returns pac's row, read-only (nil when the row's page was never
+// written, so every entry reads as zero), and the address of its first
+// slot. A row lies in one page (the base is page-aligned and a row is at
+// most one page). One of up to eight ways lies in one memory granule and
+// is a view of it (see mem.Memory.View for the view's lifetime); a wider
+// one spans several granules and is copied into t.wide, valid until the
+// next call.
 func (t *Table) row(pac uint16) ([]byte, uint64) {
 	a := t.RowAddr(pac)
-	return t.mem.View(a, uint64(t.assoc)*WayBytes), a
+	n := uint64(t.assoc) * WayBytes
+	if n <= mem.GranuleSize {
+		return t.mem.View(a, n), a
+	}
+	if t.mem.View(a, WayBytes) == nil {
+		return nil, a
+	}
+	if t.wide == nil {
+		t.wide = make([]byte, MaxAssoc*WayBytes)
+	}
+	t.mem.ReadBytes(a, t.wide[:n])
+	return t.wide[:n], a
 }
 
 // entry decodes the entry in slot i of a row view (way i/slots).

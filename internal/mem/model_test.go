@@ -83,16 +83,21 @@ func (b *byteStream) next() byte {
 func (b *byteStream) addr() uint64 {
 	pn := modelPages[int(b.next())%len(modelPages)]
 	off := uint64(b.next())<<4 | uint64(b.next()&15)
-	if b.next()&3 == 0 {
-		off = PageSize - 1 - uint64(b.next()&15) // near the end: crossing accesses
+	switch b.next() & 3 {
+	case 0:
+		off = PageSize - 1 - uint64(b.next()&15) // near the end: crossing into the next page
+	case 1:
+		off |= granMask // near a granule's end: crossing into the next granule
+		off -= uint64(b.next() & 15)
 	}
 	return pn<<PageBits + off&offMask
 }
 
 // checkMemoryModel runs the operation sequence ops encodes against a set
-// of address spaces and the byte-map model: 8- and 64-bit writes (some
-// crossing a page boundary), Zero, Copy, Snapshot, and Restore into the
-// same space or a fresh one. It checks every read against the model, that
+// of address spaces and the byte-map model: 8-, 32- and 64-bit writes
+// (some crossing a granule or a page boundary), Zero and Copy runs that
+// start, end or straddle anywhere in a granule, Snapshot, and Restore
+// into the same space or a fresh one. It checks every read against the model, that
 // every snapshot stays frozen, and that each space reads its own writes
 // and no other space's.
 func checkMemoryModel(t *testing.T, ops []byte) {
@@ -108,11 +113,20 @@ func checkMemoryModel(t *testing.T, ops []byte) {
 		i := int(b.next()) % len(spaces)
 		m, md := spaces[i], models[i]
 		switch op := b.next() % 8; op {
-		case 0, 1:
+		case 0:
 			a := b.addr()
 			v := b.next()
 			m.WriteU8(a, v)
 			md.write(a, v)
+		case 1:
+			a := b.addr()
+			v := uint32(b.next())*0x01010101 ^ uint32(step)
+			m.WriteU32(a, v)
+			var w [4]byte
+			binary.LittleEndian.PutUint32(w[:], v)
+			for k := uint64(0); k < 4; k++ {
+				md.write(a+k, w[k])
+			}
 		case 2, 3:
 			a := b.addr()
 			v := uint64(b.next())*0x0101010101010101 ^ uint64(step)
@@ -169,10 +183,11 @@ func checkMemoryModel(t *testing.T, ops []byte) {
 	}
 }
 
-// checkSpace compares PagesTouched, View and every byte of the checked
-// pages with the model: the whole page through ReadBytes, and single
-// bytes and a word crossing into the next page through ReadU8 and
-// ReadU64.
+// checkSpace compares PagesTouched and every byte of the checked pages
+// with the model: the whole page through ReadBytes, each granule and a
+// window ending at each granule's edge through View, and single bytes,
+// and words crossing each granule's edge (the last into the next page),
+// through ReadU8, ReadU32 and ReadU64.
 func checkSpace(t *testing.T, m *Memory, md *model, step int) {
 	t.Helper()
 	if got := m.PagesTouched(); got != uint64(len(md.pages)) {
@@ -186,28 +201,36 @@ func checkSpace(t *testing.T, m *Memory, md *model, step int) {
 		if p != nil {
 			want = *p
 		}
-		v := m.View(base, PageSize)
-		if (v != nil) != (p != nil) {
-			t.Fatalf("step %d: page %d: View present %v, model %v", step, pn, v != nil, p != nil)
-		}
-		if v != nil && !bytes.Equal(v, want[:]) {
-			t.Fatalf("step %d: page %d: View differs from the model", step, pn)
+		for k := uint64(0); k < PageSize; k += GranuleSize {
+			for _, w := range [][2]uint64{{k, GranuleSize}, {k + GranuleSize - 3, 3}} {
+				v := m.View(base+w[0], w[1])
+				if (v != nil) != (p != nil) {
+					t.Fatalf("step %d: page %d: View(+%#x, %d) present %v, model %v", step, pn, w[0], w[1], v != nil, p != nil)
+				}
+				if v != nil && !bytes.Equal(v, want[w[0]:w[0]+w[1]]) {
+					t.Fatalf("step %d: page %d: View(+%#x, %d) differs from the model", step, pn, w[0], w[1])
+				}
+			}
+			var w [8]byte
+			for i := range w {
+				w[i] = md.read(base + k + GranuleSize - 4 + uint64(i))
+			}
+			edge := base + k + GranuleSize
+			if got, want := m.ReadU64(edge-4), binary.LittleEndian.Uint64(w[:]); got != want {
+				t.Fatalf("step %d: crossing word at %#x = %#x, model %#x", step, edge-4, got, want)
+			}
+			if got, want := m.ReadU32(edge-2), binary.LittleEndian.Uint32(w[2:6]); got != want {
+				t.Fatalf("step %d: crossing word at %#x = %#x, model %#x", step, edge-2, got, want)
+			}
 		}
 		m.ReadBytes(base, buf[:])
 		if buf != want {
 			t.Fatalf("step %d: page %d: ReadBytes differs from the model", step, pn)
 		}
-		for _, off := range []uint64{0, 1, 255, PageSize - 1} {
+		for _, off := range []uint64{0, 1, 255, GranuleSize - 1, GranuleSize, PageSize - 1} {
 			if got := m.ReadU8(base + off); got != want[off] {
 				t.Fatalf("step %d: byte %#x = %#x, model %#x", step, base+off, got, want[off])
 			}
-		}
-		var w [8]byte
-		for k := range w {
-			w[k] = md.read(base + PageSize - 4 + uint64(k))
-		}
-		if got, want := m.ReadU64(base+PageSize-4), binary.LittleEndian.Uint64(w[:]); got != want {
-			t.Fatalf("step %d: crossing word at %#x = %#x, model %#x", step, base+PageSize-4, got, want)
 		}
 	}
 }

@@ -67,13 +67,23 @@ func TestSnapshotRestoreThenDiverge(t *testing.T) {
 	if got := c.ReadU64(0); got != 0 {
 		t.Fatalf("snapshot corrupted: c = %d, want 0", got)
 	}
-	// Unwritten pages still share backing arrays (the point of COW), and
-	// a written one is the writer's own.
-	if a.slot(1).page != b.slot(1).page || a.slot(1).page != s.slot(1).page {
-		t.Fatal("clean pages should share one backing array")
+	// Unwritten pages still share their array (the point of COW). A
+	// written page's granule index is the writer's own, and so is the
+	// granule written, while its other granules stay shared.
+	if a.slot(1).blk != s.slot(1).blk || b.slot(1).blk != s.slot(1).blk || a.slot(1).idx != nil {
+		t.Fatal("clean pages should share one array")
 	}
-	if a.slot(0).page == s.slot(0).page || a.slot(0).page == b.slot(0).page || b.slot(0).page == s.slot(0).page {
-		t.Fatal("a written page should be private to its space")
+	if a.slot(0).idx == nil || b.slot(0).idx == nil || a.slot(0).idx == b.slot(0).idx || s.slot(0).idx != nil {
+		t.Fatal("a written page's granule index should be private to its space")
+	}
+	for i := uint64(0); i < granules; i++ {
+		ag, bg, sg := a.granule(i*GranuleSize), b.granule(i*GranuleSize), s.granule(i*GranuleSize)
+		if i == 0 && (ag == sg || ag == bg || bg == sg) {
+			t.Fatal("a written granule should be private to its space")
+		}
+		if i > 0 && (ag != sg || bg != sg) {
+			t.Fatalf("granule %d of a written page was copied, not shared", i)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package sampling
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"aos/internal/core"
 	"aos/internal/cpu"
 	"aos/internal/instrument"
+	"aos/internal/mem"
 	"aos/internal/workload"
 )
 
@@ -43,12 +45,43 @@ var restoreCells = []struct {
 	scheme instrument.Scheme
 }{{"gcc", instrument.AOS}, {"gcc", instrument.Watchdog}, {"lbm", instrument.MTE}}
 
-// BenchmarkCheckpointRestore times Machine.Restore of a checkpoint taken
-// right after the workload's set-up. Restoring shares the address space,
-// the table's rows and the tags page by page, and copies the page-table
-// slots, the allocator's live sizes and Watchdog's lock map as one flat
-// slot slice each into the machine's own, so the cost tracks the touched
-// pages plus one memory copy per table, not the bytes behind them.
+// windowCell is setUpCell followed by a 20,000-instruction detailed
+// window, so the core holds drain entries and port reservations as it
+// does at a sampled run's boundaries.
+func windowCell(tb testing.TB, bench string, scheme instrument.Scheme) (*workload.Profile, *core.Machine, *cpu.Core, *workload.Runner) {
+	tb.Helper()
+	p, m, c, r := setUpCell(tb, bench, scheme)
+	c.SetMode(cpu.ModeDetailed)
+	runOn(tb, m, r, 20_000)
+	return p, m, c, r
+}
+
+// runOn runs a cell's workload n instructions further.
+func runOn(tb testing.TB, m *core.Machine, r *workload.Runner, n uint64) {
+	tb.Helper()
+	until := r.Produced() + n
+	if err := r.RunTo(context.Background(), until, until); err != nil {
+		tb.Fatal(err)
+	}
+	m.Flush()
+}
+
+// snapshot takes a whole checkpoint of a cell, as a cold sampled run does
+// at each boundary.
+func snapshot(m *core.Machine, c *cpu.Core, r *workload.Runner) *Checkpoint {
+	return &Checkpoint{Machine: m.Snapshot(), Core: c.Snapshot(), Runner: r.State()}
+}
+
+// BenchmarkCheckpointRestore times restores. Machine.Restore of a
+// checkpoint taken right after the workload's set-up shares the address
+// space, the table's rows and the tags page by page, and copies the
+// page-table slots, the allocator's live sizes and Watchdog's lock map as
+// one flat slot slice each into the machine's own, so the cost tracks the
+// touched pages plus one memory copy per table, not the bytes behind them.
+// The whole/ cases restore a whole checkpoint taken after a detailed
+// window — machine, core and runner, through Checkpoint.restore — into a
+// cell that has already restored one, as every boundary of a resumed run
+// after its first does.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	for _, tc := range restoreCells {
 		b.Run(tc.bench+"/"+tc.scheme.String(), func(b *testing.B) {
@@ -60,6 +93,38 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 				if err := m.Restore(cp); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+	for _, tc := range restoreCells {
+		b.Run("whole/"+tc.bench+"/"+tc.scheme.String(), func(b *testing.B) {
+			p, m, c, r := windowCell(b, tc.bench, tc.scheme)
+			cp := snapshot(m, c, r)
+			if _, err := cp.restore(p, m, c, r); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cp.restore(p, m, c, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointSnapshot times taking a whole checkpoint after a
+// detailed window. No write falls between two snapshots, so its B/op is
+// what one checkpoint holds before any copy-on-write.
+func BenchmarkCheckpointSnapshot(b *testing.B) {
+	for _, tc := range restoreCells {
+		b.Run(tc.bench+"/"+tc.scheme.String(), func(b *testing.B) {
+			_, m, c, r := windowCell(b, tc.bench, tc.scheme)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snapshot(m, c, r)
 			}
 		})
 	}
@@ -97,14 +162,11 @@ func BenchmarkRunnerRestore(b *testing.B) {
 func TestCheckpointRestoreAllocatesNothing(t *testing.T) {
 	for _, tc := range restoreCells {
 		p, m, c, r := setUpCell(t, tc.bench, tc.scheme)
-		snap := func() *Checkpoint {
-			return &Checkpoint{Machine: m.Snapshot(), Core: c.Snapshot(), Runner: r.State()}
-		}
-		first := snap()
+		first := snapshot(m, c, r)
 		if err := r.RunTo(context.Background(), 20_000, 20_000); err != nil {
 			t.Fatal(err)
 		}
-		later := snap()
+		later := snapshot(m, c, r)
 
 		_, m2, c2, _ := setUpCell(t, tc.bench, tc.scheme)
 		r2, err := first.restore(p, m2, c2, nil)
@@ -123,6 +185,51 @@ func TestCheckpointRestoreAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s/%v: restoring a whole checkpoint allocated %.1f times", tc.bench, tc.scheme, allocs)
+		}
+	}
+}
+
+// allocBytes returns the bytes f allocates on the heap.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckpointBytes bounds what a checkpoint copies. A core snapshot
+// taken after a detailed window holds the cache hierarchy's lines and
+// under 128 KiB more: the predictor, the BWB, the rings, the drain entries
+// still draining and the ports' reserved spans, but no dense copy of the
+// drain table (512 KiB) or of a port's idle slots (128 KiB per port). And
+// after a machine snapshot, the copy-on-write of a fixed 20,000-instruction
+// continuation costs at most 1,024 granules (512 KiB), where copying the
+// 4 KiB pages gcc's continuations write takes 1.5–2.2 MB. It is measured
+// as the continuation's allocations beyond those of the same continuation
+// in an identical cell that took no snapshot. gcc's continuations write
+// allocator metadata and HBT rows (AOS) or MTE tags; lbm's loop allocates
+// nothing, so its continuation copies nothing.
+func TestCheckpointBytes(t *testing.T) {
+	const coreBound, cowBound = 128 << 10, 1024 * mem.GranuleSize
+	for _, tc := range []struct {
+		bench  string
+		scheme instrument.Scheme
+		copies bool
+	}{{"gcc", instrument.AOS, true}, {"gcc", instrument.MTE, true}, {"lbm", instrument.MTE, false}} {
+		_, m, c, r := windowCell(t, tc.bench, tc.scheme)
+		_, m2, _, r2 := windowCell(t, tc.bench, tc.scheme)
+		caches := allocBytes(func() { c.Hierarchy().Snapshot() })
+		if core := allocBytes(func() { c.Snapshot() }); core > caches+coreBound {
+			t.Errorf("%s/%v: a core snapshot allocated %d B, %d B beyond its caches' lines, want at most %d",
+				tc.bench, tc.scheme, core, core-caches, coreBound)
+		}
+
+		m.Snapshot()
+		cow := allocBytes(func() { runOn(t, m, r, 20_000) }) - allocBytes(func() { runOn(t, m2, r2, 20_000) })
+		if int64(cow) > cowBound || (cow > 0) != tc.copies {
+			t.Errorf("%s/%v: a continuation's copy-on-write allocated %d B, want at most %d and more than 0 %v",
+				tc.bench, tc.scheme, int64(cow), cowBound, tc.copies)
 		}
 	}
 }
