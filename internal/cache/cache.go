@@ -11,7 +11,10 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+
+	"aos/internal/pa"
 )
 
 // LineBytes is the cache line size used throughout (Table IV).
@@ -49,11 +52,30 @@ func (s Stats) MissRate() float64 {
 // miss drops the set's last word and inserts at the front. Invalid words
 // therefore always form a suffix of their set, and the last word is the
 // true-LRU victim once the set is full (DESIGN.md §10.6).
+//
+// The word's width follows the geometry: a level keeps uint32 words when
+// every address below 2^pa.VABits makes a word that fits, which takes at
+// least 1,024 sets (the L2), and uint64 words otherwise (the L1s). A
+// 32-bit level panics on an address at or above 2^pa.VABits rather than
+// alias another line.
 type Cache struct {
-	cfg     Config
-	lines   []uint64 // [set*ways+way], each set most recently used first
+	cfg Config
+	// wide and narrow hold the words, [set*ways+way], each set most
+	// recently used first. Exactly one is non-nil: narrow on a 32-bit
+	// level, wide otherwise.
+	wide    []uint64
+	narrow  []uint32
 	setBits uint
 	stats   Stats
+}
+
+// word is the storage type of a level's line words.
+type word interface{ uint32 | uint64 }
+
+// maxWord is the largest word an address below 2^pa.VABits makes in a
+// level with 2^setBits sets: the largest tag plus one, over the dirty bit.
+func maxWord(setBits uint) uint64 {
+	return (1<<pa.VABits/LineBytes)>>setBits<<1 | 1
 }
 
 // NewCache builds a cache from cfg. Sets must come out a power of two.
@@ -66,11 +88,13 @@ func NewCache(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets (size %d, ways %d) not a power of two",
 			nSets, cfg.SizeBytes, cfg.Ways)
 	}
-	return &Cache{
-		cfg:     cfg,
-		lines:   make([]uint64, nSets*cfg.Ways),
-		setBits: uint(bits.TrailingZeros(uint(nSets))),
-	}, nil
+	c := &Cache{cfg: cfg, setBits: uint(bits.TrailingZeros(uint(nSets)))}
+	if maxWord(c.setBits) <= math.MaxUint32 {
+		c.narrow = make([]uint32, nSets*cfg.Ways)
+	} else {
+		c.wide = make([]uint64, nSets*cfg.Ways)
+	}
+	return c, nil
 }
 
 // MustNewCache is NewCache or panic, for configuration literals.
@@ -88,13 +112,24 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Latency returns the configured access latency.
 func (c *Cache) Latency() int { return c.cfg.Latency }
 
-// locate returns the words of addr's set, the set's index, and the word
-// addr's line has when clean.
-func (c *Cache) locate(addr uint64) (set []uint64, setIdx, key uint64) {
+// locate returns the index of the first word of addr's set, the set's
+// index, and the word addr's line has when clean. On a 32-bit level it
+// panics on an address whose word would not fit.
+func (c *Cache) locate(addr uint64) (first int, setIdx, key uint64) {
+	if c.narrow != nil && addr>>pa.VABits != 0 {
+		panic(beyondVA(addr)) //aoslint:allow hotpathalloc — cold: the panic ends the run
+	}
 	lineAddr := addr / LineBytes
 	setIdx = lineAddr & ((1 << c.setBits) - 1)
-	first := int(setIdx) * c.cfg.Ways
-	return c.lines[first : first+c.cfg.Ways], setIdx, (lineAddr>>c.setBits + 1) << 1
+	return int(setIdx) * c.cfg.Ways, setIdx, (lineAddr>>c.setBits + 1) << 1
+}
+
+// beyondVA is the panic of a 32-bit level given an address its words
+// cannot hold.
+type beyondVA uint64
+
+func (a beyondVA) Error() string {
+	return fmt.Sprintf("cache: address %#x is beyond the %d-bit address space of a 32-bit level", uint64(a), pa.VABits)
 }
 
 // Access looks up the line containing addr, allocating it on miss. write
@@ -102,11 +137,21 @@ func (c *Cache) locate(addr uint64) (set []uint64, setIdx, key uint64) {
 // allocation evicted a dirty victim (whose line address is returned for
 // write-back accounting).
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victimDirty bool, victimAddr uint64) {
-	set, setIdx, key := c.locate(addr)
+	first, setIdx, key := c.locate(addr)
 	var dirty uint64
 	if write {
 		dirty = 1
 	}
+	if c.narrow != nil {
+		return access(c, c.narrow[first:first+c.cfg.Ways], setIdx, uint32(key), uint32(dirty))
+	}
+	return access(c, c.wide[first:first+c.cfg.Ways], setIdx, key, dirty)
+}
+
+// access is Access on one set's words: a hit moves key's line to the
+// front, ORing in dirty; a miss drops the set's last word (invalid while
+// the set has room, else the LRU line) and inserts key|dirty at the front.
+func access[W word](c *Cache, set []W, setIdx uint64, key, dirty W) (hit bool, victimDirty bool, victimAddr uint64) {
 	for i, w := range set {
 		if w&^1 == key {
 			copy(set[1:i+1], set[:i])
@@ -116,11 +161,9 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victimDirty bool, vic
 		}
 	}
 	c.stats.Misses++
-
-	// The last word is invalid while the set has room, else the LRU line.
 	if v := set[len(set)-1]; v&1 != 0 {
 		victimDirty = true
-		victimAddr = ((v>>1-1)<<c.setBits | setIdx) * LineBytes
+		victimAddr = (uint64(v>>1-1)<<c.setBits | setIdx) * LineBytes
 		c.stats.Writebacks++
 	}
 	copy(set[1:], set)
@@ -130,7 +173,15 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victimDirty bool, vic
 
 // Contains reports whether addr's line is resident (no state change).
 func (c *Cache) Contains(addr uint64) bool {
-	set, _, key := c.locate(addr)
+	first, _, key := c.locate(addr)
+	if c.narrow != nil {
+		return holds(c.narrow[first:first+c.cfg.Ways], uint32(key))
+	}
+	return holds(c.wide[first:first+c.cfg.Ways], key)
+}
+
+// holds reports whether one set's words include key's line.
+func holds[W word](set []W, key W) bool {
 	for _, w := range set {
 		if w&^1 == key {
 			return true

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"math"
 	"testing"
+
+	"aos/internal/pa"
 )
 
 func small() Config { return Config{SizeBytes: 1024, Ways: 2, Latency: 1} } // 8 sets
@@ -15,6 +18,69 @@ func TestNewCacheValidation(t *testing.T) {
 	}
 	if _, err := NewCache(Config{SizeBytes: 64, Ways: 1, Latency: 1}); err != nil {
 		t.Errorf("rejected 1-set cache: %v", err)
+	}
+}
+
+// TestWordWidthFollowsGeometry: a level keeps 32-bit words exactly when
+// every address below 2^pa.VABits makes a word that fits, from 1,024 sets
+// up: the Table IV L2, not its L1s, nor a 512-set L2.
+func TestWordWidthFollowsGeometry(t *testing.T) {
+	def := DefaultConfig()
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		narrow bool
+	}{
+		{"L1-I", def.L1I, false},
+		{"L1-D", def.L1D, false},
+		{"L1-B", *def.L1B, false},
+		{"L2", def.L2, true},
+		{"512 x 16", Config{SizeBytes: 512 * 16 * LineBytes, Ways: 16}, false},
+		{"1024 x 1", Config{SizeBytes: 1024 * LineBytes, Ways: 1}, true},
+	} {
+		c := MustNewCache(tc.cfg)
+		if got := c.narrow != nil; got != tc.narrow || (c.wide != nil) == got {
+			t.Errorf("%s: 32-bit words %v (wide %d, narrow %d words), want %v",
+				tc.name, got, len(c.wide), len(c.narrow), tc.narrow)
+		}
+	}
+}
+
+// TestNarrowLevelPanicsBeyondVA: a 32-bit level holds the last line below
+// 2^pa.VABits, and panics on an address at or above it, whose word would
+// not fit, rather than alias another line; a 64-bit level takes it.
+func TestNarrowLevelPanicsBeyondVA(t *testing.T) {
+	const top = uint64(1)<<pa.VABits - 1
+	l2 := MustNewCache(DefaultConfig().L2)
+	l2.Access(top, true)
+	if !l2.Contains(top) || l2.Contains(top&^(1<<(pa.VABits-1))) {
+		t.Fatal("32-bit level lost the last line below 2^VABits or aliased it")
+	}
+	for _, addr := range []uint64{top + 1, top + 1 + top, 1 << 63, math.MaxUint64} {
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"Access", func() { l2.Access(addr, false) }},
+			{"Contains", func() { l2.Contains(addr) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%#x) on a 32-bit level did not panic", op.name, addr)
+					}
+				}()
+				op.run()
+			}()
+		}
+	}
+	if s := l2.Stats(); s.Hits+s.Misses != 1 {
+		t.Errorf("32-bit level counted rejected accesses: %+v", s)
+	}
+	l1 := MustNewCache(DefaultConfig().L1D)
+	l1.Access(top+1, false)
+	if !l1.Contains(top+1) || l1.Contains(0) {
+		t.Error("64-bit level mishandled an address at 2^VABits")
 	}
 }
 

@@ -1,32 +1,35 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CacheState is a deep copy of one cache's line words and counters, taken
 // by Cache.Snapshot. Geometry (config, set count) is not carried: restore
 // targets are built from the same configuration, and Restore checks the
 // shapes match rather than trusting the caller.
 type CacheState struct {
-	lines []uint64 // copy of Cache.lines
-	ways  int
-	stats Stats
+	wide   []uint64 // copy of Cache.wide
+	narrow []uint32 // copy of Cache.narrow
+	ways   int
+	stats  Stats
 }
 
 // Snapshot deep-copies the cache contents and statistics.
 func (c *Cache) Snapshot() *CacheState {
-	lines := make([]uint64, len(c.lines))
-	copy(lines, c.lines)
-	return &CacheState{lines: lines, ways: c.cfg.Ways, stats: c.stats}
+	return &CacheState{wide: slices.Clone(c.wide), narrow: slices.Clone(c.narrow), ways: c.cfg.Ways, stats: c.stats}
 }
 
 // Restore rewinds the cache to a snapshot taken from an identically
 // configured cache. The snapshot stays valid for further restores.
 func (c *Cache) Restore(s *CacheState) error {
-	if len(s.lines) != len(c.lines) || s.ways != c.cfg.Ways {
+	if len(s.wide) != len(c.wide) || len(s.narrow) != len(c.narrow) || s.ways != c.cfg.Ways {
 		return fmt.Errorf("cache: restore geometry mismatch: snapshot %d lines x %d ways, cache %d lines x %d ways",
-			len(s.lines), s.ways, len(c.lines), c.cfg.Ways)
+			len(s.wide)+len(s.narrow), s.ways, len(c.wide)+len(c.narrow), c.cfg.Ways)
 	}
-	copy(c.lines, s.lines)
+	copy(c.wide, s.wide)
+	copy(c.narrow, s.narrow)
 	c.stats = s.stats
 	return nil
 }

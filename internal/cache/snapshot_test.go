@@ -136,7 +136,7 @@ func TestHierarchyRestoreL1BMismatch(t *testing.T) {
 // Reflection guards: every field of Cache and Hierarchy must be classified
 // so new fields cannot silently escape checkpoints.
 func TestCacheSnapshotComplete(t *testing.T) {
-	covered := map[string]bool{"lines": true, "stats": true}
+	covered := map[string]bool{"wide": true, "narrow": true, "stats": true}
 	operational := map[string]bool{
 		// cfg and setBits are construction-time geometry; Restore verifies
 		// rather than carries them.

@@ -273,6 +273,11 @@ func (t *Table) WriteSlot(pac uint16, w, slot int, v uint64) {
 // RowOccupancy returns the number of live entries in a row.
 func (t *Table) RowOccupancy(pac uint16) int {
 	row, _ := t.row(pac)
+	return t.occupancy(row)
+}
+
+// occupancy counts the live entries of a row read by row.
+func (t *Table) occupancy(row []byte) int {
 	n := 0
 	for i := 0; row != nil && i < t.assoc*t.slots; i++ {
 		if t.entry(row, i) != 0 {
@@ -332,7 +337,7 @@ func (mi *Migration) Step(n int) uint64 {
 			pac += uint32((mem.PageSize-src%mem.PageSize)/sz) - 1
 			continue
 		}
-		if moved := mi.Old.RowOccupancy(uint16(pac)); moved > 0 {
+		if moved := mi.Old.occupancy(row); moved > 0 {
 			mi.Old.mem.Copy(mi.New.RowAddr(uint16(pac)), src, sz)
 			mi.Old.mem.Zero(src, sz)
 			mi.New.live += moved

@@ -82,6 +82,13 @@ type granuleIndex struct {
 	g   [granules]*[GranuleSize]byte
 }
 
+// splitPage is a granule index allocated together with the granule whose
+// write made it, so a shared page's first write allocates once.
+type splitPage struct {
+	idx granuleIndex
+	g   [GranuleSize]byte
+}
+
 const (
 	// minPageBits is log2 of a new space's slot count.
 	minPageBits = 4
@@ -146,7 +153,8 @@ func (m *Memory) wgranule(addr uint64, create bool) *[GranuleSize]byte {
 		*s = pageSlot{pn: pn, blk: new([PageSize]byte), gen: m.gen}
 		m.n++
 	case s.gen != m.gen:
-		x := new(granuleIndex)
+		sp := new(splitPage)
+		x := &sp.idx
 		if s.idx != nil {
 			x.g = s.idx.g
 		} else {
@@ -154,7 +162,10 @@ func (m *Memory) wgranule(addr uint64, create bool) *[GranuleSize]byte {
 				x.g[k] = (*[GranuleSize]byte)(s.blk[k*GranuleSize:])
 			}
 		}
+		sp.g = *x.g[i]
+		x.g[i], x.own = &sp.g, 1<<i
 		s.idx, s.gen = x, m.gen
+		return &sp.g
 	}
 	x := s.idx
 	if x == nil {

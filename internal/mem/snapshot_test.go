@@ -141,3 +141,30 @@ func TestMemorySnapshotComplete(t *testing.T) {
 		t.Error("Restore shares the snapshot's slot slice")
 	}
 }
+
+// TestSharedPageFirstWriteAllocatesOnce: a write to a page shared with a
+// snapshot allocates the page's new granule index and the granule it
+// copies together, so a snapshot and one such write cost one allocation
+// more than the snapshot alone (two against one, or three against two
+// where the race detector keeps the snapshot's State off the stack).
+// Each round writes another granule of the same page, which splits it
+// afresh, as its index is shared too.
+func TestSharedPageFirstWriteAllocatesOnce(t *testing.T) {
+	m := New()
+	for pn := uint64(0); pn < 4; pn++ {
+		m.WriteU64(pn<<PageBits, pn)
+	}
+	snap := testing.AllocsPerRun(100, func() { m.Snapshot() })
+	var k uint64
+	both := testing.AllocsPerRun(100, func() {
+		m.Snapshot()
+		k++
+		m.WriteU64(2<<PageBits|k%granules<<GranuleBits, k)
+	})
+	if both-snap != 1 {
+		t.Errorf("a snapshot allocated %v times and a snapshot plus a shared page's first write %v, want one more", snap, both)
+	}
+	if got := m.ReadU64(2<<PageBits | k%granules<<GranuleBits); got != k {
+		t.Fatalf("last write read back %d, want %d", got, k)
+	}
+}

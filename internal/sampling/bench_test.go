@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"aos/internal/cache"
 	"aos/internal/core"
 	"aos/internal/cpu"
 	"aos/internal/instrument"
@@ -198,9 +199,11 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCheckpointBytes bounds what a checkpoint copies. A core snapshot
-// taken after a detailed window holds the cache hierarchy's lines and
-// under 128 KiB more: the predictor, the BWB, the rings, the drain entries
+// TestCheckpointBytes bounds what a checkpoint copies. A snapshot of the
+// cache hierarchy holds 4 B per L2 line and 8 B per L1 line (DESIGN §10.6)
+// and under 4 KiB more: 540,672 B of lines, where 8-byte L2 words made
+// 1,064,960. A core snapshot taken after a detailed window holds the
+// hierarchy's and under 128 KiB more: the predictor, the BWB, the rings, the drain entries
 // still draining and the ports' reserved spans, but no dense copy of the
 // drain table (512 KiB) or of a port's idle slots (128 KiB per port). And
 // after a machine snapshot, the copy-on-write of a fixed 20,000-instruction
@@ -212,6 +215,9 @@ func allocBytes(f func()) uint64 {
 // nothing, so its continuation copies nothing.
 func TestCheckpointBytes(t *testing.T) {
 	const coreBound, cowBound = 128 << 10, 1024 * mem.GranuleSize
+	hc := cache.DefaultConfig()
+	cacheBound := uint64(4*hc.L2.SizeBytes/cache.LineBytes +
+		8*(hc.L1I.SizeBytes+hc.L1D.SizeBytes+hc.L1B.SizeBytes)/cache.LineBytes + 4<<10)
 	for _, tc := range []struct {
 		bench  string
 		scheme instrument.Scheme
@@ -220,6 +226,10 @@ func TestCheckpointBytes(t *testing.T) {
 		_, m, c, r := windowCell(t, tc.bench, tc.scheme)
 		_, m2, _, r2 := windowCell(t, tc.bench, tc.scheme)
 		caches := allocBytes(func() { c.Hierarchy().Snapshot() })
+		if caches > cacheBound {
+			t.Errorf("%s/%v: a cache hierarchy snapshot allocated %d B, want at most %d",
+				tc.bench, tc.scheme, caches, cacheBound)
+		}
 		if core := allocBytes(func() { c.Snapshot() }); core > caches+coreBound {
 			t.Errorf("%s/%v: a core snapshot allocated %d B, %d B beyond its caches' lines, want at most %d",
 				tc.bench, tc.scheme, core, core-caches, coreBound)
