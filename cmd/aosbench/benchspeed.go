@@ -93,11 +93,11 @@ type simspeedDoc struct {
 
 // benchSampled measures the sampled mode's effective throughput. The
 // sampled region is 64x the exact measurement's budget: a resumed run
-// restores every window start and the end of the run, so its wall is its
-// detailed windows plus windows+1 restores, whatever the gaps between them
-// — a longer region is where sampling's advantage actually lives. Exact
-// runs of that length would just take 64x longer at the same rate, so the
-// per-second figures stay directly comparable.
+// restores every window's post-warm-up state and the end of the run, so
+// its wall is its measurement windows plus windows+1 restores, whatever
+// the gaps between them — a longer region is where sampling's advantage
+// actually lives. Exact runs of that length would just take 64x longer at
+// the same rate, so the per-second figures stay directly comparable.
 func benchSampled(insts uint64, runs int) (*simspeedSampled, error) {
 	spec := experiments.SimSpec{
 		Benchmark: "milc", Scheme: "AOS", Instructions: 64 * insts, Seed: 1,
@@ -115,6 +115,8 @@ func benchSampled(insts uint64, runs int) (*simspeedSampled, error) {
 		Window:  ns.Sampling.Window,
 		Gap:     ns.Sampling.Gap,
 	}
+	// The schedule's detailed instructions, U and W, which the cold run
+	// simulates; a resumed run simulates Windows×Window of them.
 	sm.DetailedInsts = uint64(sm.Windows) * (sm.Detail + sm.Window)
 	store := sampling.NewStore()
 	heap0 := liveHeap()

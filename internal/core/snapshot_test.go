@@ -6,6 +6,7 @@ import (
 
 	"aos/internal/instrument"
 	"aos/internal/isa"
+	"aos/internal/telemetry"
 )
 
 // recSink records every emitted instruction for byte-level comparison.
@@ -190,4 +191,51 @@ func sharesStorage(t reflect.Type) bool {
 		}
 	}
 	return false
+}
+
+// TestRestoreRefreshesTelemetry: a restore moves the machine's bounds table
+// and heap to the checkpoint's, so the attached flight recorder must re-read
+// them. On a machine that ran past the checkpoint the gauges drop back to
+// its levels; on a fresh machine the counters also catch up to its totals
+// (a counter never runs backwards, so only there do they move).
+func TestRestoreRefreshesTelemetry(t *testing.T) {
+	state := func(m *Machine) [4]uint64 {
+		hs := m.Heap.Stats()
+		return [4]uint64{uint64(m.OS.Table().Live()), hs.Live, hs.BytesIn, m.hbtInserts}
+	}
+	probes := func(m *Machine) [4]uint64 {
+		return [4]uint64{m.tel.hbtLive.Load(), m.tel.heapLive.Load(), m.tel.heapBytes.Load(), m.tel.hbtInserts.Load()}
+	}
+	attached := func() *Machine {
+		m, err := New(Config{Scheme: instrument.AOS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetSink(&recSink{})
+		m.AttachTelemetry(telemetry.NewTimeline(telemetry.NewRegistry(), 64))
+		return m
+	}
+
+	m := attached()
+	live := churn(t, m, nil, 3000, 0)
+	snap := m.Snapshot()
+	want := state(m)
+	churn(t, m, live, 3000, 1)
+	if after := state(m); after[0] == want[0] || after[1] == want[1] || after[2] == want[2] || after[3] == want[3] {
+		t.Fatalf("test is vacuous: the continuation left %v at the checkpoint's %v", after, want)
+	}
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := probes(m); got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Errorf("restore over a continuation: gauges read %v, the checkpoint holds %v", got[:3], want[:3])
+	}
+
+	fresh := attached()
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := probes(fresh); got != want {
+		t.Errorf("restore into a fresh machine: probes read %v, the checkpoint holds %v", got, want)
+	}
 }

@@ -119,6 +119,12 @@ type Core struct {
 	// (debug/visualization; nil in normal runs).
 	observer func(in *isa.Inst, t Timestamps)
 
+	// drainSet marks the PACs whose bndstrDrain entry is nonzero, one bit
+	// each (8 KiB for the 65,536-entry table), so Snapshot walks and
+	// Restore clears only those entries. It is derived from the table:
+	// Restore rebuilds it from the checkpoint's drain entries.
+	drainSet [1 << 10]uint64
+
 	// tel is the flight recorder (nil when telemetry is disabled);
 	// nextSample mirrors its next-due commit cycle so the per-
 	// instruction check in Emit is a single compare against an
@@ -625,6 +631,7 @@ func (c *Core) Emit(in *isa.Inst) {
 		// background (tracked for the forwarding/replay window).
 		drain := c.mcuAccess(commit+1, in.RowAddr+uint64(maxInt8(in.HomeWay, 0))<<6, true)
 		c.bndstrDrain[in.PAC] = drain
+		c.drainSet[in.PAC>>6] |= 1 << (in.PAC & 63)
 		release = commit + 1
 	case isa.OpBndclr:
 		if in.HomeWay >= 0 {

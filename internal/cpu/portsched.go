@@ -24,6 +24,10 @@ type portSched struct {
 	// base is the window floor: the same value the old scheme kept in
 	// portFloor/dPortFloor. Reservations below it are clamped up to it.
 	base uint64
+	// top is one past the highest cycle reserved in the ring: every slot
+	// outside [base, top) is zero, so a checkpoint copies and a restore
+	// clears only that span.
+	top uint64
 	// width is the port's start bandwidth (grants per cycle).
 	width uint8
 	// overflow counts reservations at cycles at or beyond base+len(ring).
@@ -76,6 +80,9 @@ func (s *portSched) reserve(at uint64) uint64 {
 		slot := &s.ring[at&s.mask]
 		if *slot < s.width {
 			*slot++
+			if at >= s.top {
+				s.top = at + 1
+			}
 			return at
 		}
 		at++
@@ -120,6 +127,9 @@ func (s *portSched) advance(newBase uint64) {
 			} else if cyc < limit {
 				s.ring[cyc&s.mask] = n
 				delete(s.overflow, cyc)
+				if cyc >= s.top {
+					s.top = cyc + 1
+				}
 			}
 		}
 	}

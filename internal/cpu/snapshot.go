@@ -1,56 +1,51 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
+	"math/bits"
 
 	"aos/internal/bpred"
 	"aos/internal/cache"
 	"aos/internal/mcu"
 )
 
-// save returns a copy of the scheduler for a checkpoint, sharing no
-// storage with it. Its ring holds only the window's counts in cycle order,
-// from base through the last reserved cycle (nil when none is reserved):
-// every reservation lies in [base, base+len(ring)) by advance()'s
-// invariant, so the rest of the window is zero.
-func (s portSched) save() portSched {
-	i := s.base & s.mask
-	head := s.ring[i:] // cycles from base to where the window wraps
-	tail := trimZeros(s.ring[:i])
-	if len(tail) == 0 {
-		head = trimZeros(head)
+// span returns the ring slots of the reserved cycles [base, top) in cycle
+// order: head up to where the window wraps, then tail.
+func (s *portSched) span() (head, tail []uint8) {
+	if s.top <= s.base {
+		return nil, nil
 	}
+	i, n := s.base&s.mask, s.top-s.base
+	if k := uint64(len(s.ring)) - i; n > k {
+		return s.ring[i:], s.ring[:n-k]
+	}
+	return s.ring[i : i+n], nil
+}
+
+// save returns a copy of the scheduler for a checkpoint, sharing no
+// storage with it. Its ring holds only the reserved span's counts in
+// cycle order (nil when none is reserved): the rest of the window is zero.
+func (s portSched) save() portSched {
+	head, tail := s.span()
 	s.ring = nil
-	if len(head)+len(tail) > 0 {
+	if len(head) > 0 {
 		s.ring = append(append(make([]uint8, 0, len(head)+len(tail)), head...), tail...)
 	}
 	s.overflow = cloneOverflow(s.overflow)
 	return s
 }
 
-// trimZeros returns b without its trailing zeros, testing eight at a time:
-// a port's window is 128 KiB, and its reservations span a few KiB.
-func trimZeros(b []uint8) []uint8 {
-	n := len(b)
-	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
-		n -= 8
-	}
-	for n > 0 && b[n-1] == 0 {
-		n--
-	}
-	return b[:n]
-}
-
 // restore rewinds the scheduler to a saved one's reservations in its own
-// ring, clearing the rest; its width and mask are construction-time and
-// stay.
+// ring, clearing its own reserved span first; its width and mask are
+// construction-time and stay.
 func (s *portSched) restore(st *portSched) {
-	clear(s.ring)
+	head, tail := s.span()
+	clear(head)
+	clear(tail)
 	n := copy(s.ring[st.base&s.mask:], st.ring)
 	copy(s.ring, st.ring[n:])
-	s.base = st.base
+	s.base, s.top = st.base, st.top
 	s.overflow = cloneOverflow(st.overflow)
 }
 
@@ -94,16 +89,17 @@ type pacDrain struct {
 	cycle uint64
 }
 
-// Snapshot deep-copies the core's simulated state (~1.1 MiB, dominated by
-// the L2's 1 MiB of lines). The snapshot is immutable and reusable for any
-// number of Restores.
+// Snapshot deep-copies the core's simulated state (~0.5 MiB, dominated by
+// the L2's 512 KiB of line words). The snapshot is immutable and reusable
+// for any number of Restores.
 //
 // It first drops the drain entries no later instruction can observe, in
 // the live core too, so the core it leaves and every core restored from
 // the snapshot hold the same table. fetchCycle never decreases, every
 // later instruction issues at or after fetchCycle+FrontendDepth, and the
 // table is read only as drain > issue, so an entry at or below that floor
-// acts exactly as 0 (never stored) does.
+// acts exactly as 0 (never stored) does. Only the entries drainSet marks
+// are visited.
 func (c *Core) Snapshot() *CoreState {
 	s := &CoreState{coreState: c.coreState, hier: c.hier.Snapshot(), bp: c.bp.Snapshot()}
 	if c.bwb != nil {
@@ -117,11 +113,15 @@ func (c *Core) Snapshot() *CoreState {
 	s.bMSHR = append([]uint64(nil), c.bMSHR...)
 	s.bndstrDrain = nil
 	floor := c.fetchCycle + uint64(c.cfg.FrontendDepth)
-	for pac, d := range c.bndstrDrain {
-		if d > floor {
-			s.drains = append(s.drains, pacDrain{uint16(pac), d})
-		} else if d != 0 {
-			c.bndstrDrain[pac] = 0
+	for w, set := range c.drainSet[:] {
+		for ; set != 0; set &= set - 1 {
+			pac := w<<6 | bits.TrailingZeros64(set)
+			if d := c.bndstrDrain[pac]; d > floor {
+				s.drains = append(s.drains, pacDrain{uint16(pac), d})
+			} else {
+				c.bndstrDrain[pac] = 0
+				c.drainSet[w] &^= set & -set
+			}
 		}
 	}
 	s.port, s.dPort = c.port.save(), c.dPort.save()
@@ -142,7 +142,7 @@ func (c *Core) Restore(s *CoreState) error {
 		len(s.dMSHR) != len(c.dMSHR) || len(s.bMSHR) != len(c.bMSHR) {
 		return fmt.Errorf("cpu: restore mismatch: queue geometry differs")
 	}
-	before := c.stats()
+	before, beforeCommit := c.stats(), c.lastCommit
 	if err := c.hier.Restore(s.hier); err != nil {
 		return fmt.Errorf("cpu: %w", err)
 	}
@@ -158,18 +158,29 @@ func (c *Core) Restore(s *CoreState) error {
 	c.mcqRing = refill(own.mcqRing, s.mcqRing)
 	c.dMSHR = refill(own.dMSHR, s.dMSHR)
 	c.bMSHR = refill(own.bMSHR, s.bMSHR)
+	// Zero only the entries the bitmap marks, then mark the checkpoint's.
 	c.bndstrDrain = own.bndstrDrain
-	clear(c.bndstrDrain)
+	for w, set := range c.drainSet[:] {
+		for ; set != 0; set &= set - 1 {
+			c.bndstrDrain[w<<6|bits.TrailingZeros64(set)] = 0
+		}
+	}
+	clear(c.drainSet[:])
 	for _, d := range s.drains {
 		c.bndstrDrain[d.pac] = d.cycle
+		c.drainSet[d.pac>>6] |= 1 << (d.pac & 63)
 	}
 	c.port, c.dPort = own.port, own.dPort
 	c.port.restore(&s.port)
 	c.dPort.restore(&s.dPort)
 	if c.tel != nil {
-		// A restore consumes no instructions: keep its jump in the
-		// statistics out of telemetry windows, as a fast-forward's is.
+		// A restore consumes no instructions and runs no cycles: keep its
+		// jump in the statistics and in the commit clock (a window's
+		// checkpoint lies past its detailed warm-up) out of telemetry
+		// windows, as a fast-forward's is. The shift wraps consistently
+		// when the restore moves the clock back.
 		c.tel.skip(before, c.stats())
+		c.tel.prevCycle += c.lastCommit - beforeCommit
 	}
 	return nil
 }

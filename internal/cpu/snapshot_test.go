@@ -10,6 +10,7 @@ import (
 	"aos/internal/core"
 	"aos/internal/instrument"
 	"aos/internal/isa"
+	"aos/internal/telemetry"
 	"aos/internal/workload"
 )
 
@@ -131,12 +132,14 @@ func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
 			t.Fatalf("test is vacuous: %d stale drain entries, bounds port reserved %v, data port %v",
 				stale, reserved(a.port), reserved(a.dPort))
 		}
+		checkDerived(t, a, "before the snapshot")
 		snap := a.Snapshot()
 		for pac, d := range a.bndstrDrain {
 			if d != 0 && d <= floor {
 				t.Fatalf("Snapshot left the stale drain entry %d of PAC %d below floor %d", d, pac, floor)
 			}
 		}
+		checkDerived(t, a, "after the snapshot")
 		// fmt renders every field, buffer contents included: a copy of
 		// the state that shares nothing with the core or its snapshot.
 		atSnap := fmt.Sprint(a.coreState)
@@ -154,15 +157,84 @@ func TestCoreSnapshotRestoreDeterminism(t *testing.T) {
 			if fmt.Sprint(b.coreState) != atSnap {
 				t.Fatalf("trial %d: restored state differs from the original's at the snapshot", trial)
 			}
+			checkDerived(t, b, fmt.Sprintf("trial %d: after the restore", trial))
 			for i := half; i < len(stream); i++ {
 				b.Emit(&stream[i])
 			}
+			checkDerived(t, b, fmt.Sprintf("trial %d: after running on", trial))
 			if got := b.Finalize(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: restored result diverged:\n got %+v\nwant %+v", trial, got, want)
 			}
 			if b.LastCommit() != wantLC {
 				t.Fatalf("trial %d: lastCommit %d, want %d", trial, b.LastCommit(), wantLC)
 			}
+		}
+	}
+}
+
+// checkDerived fails unless the core's derived bookkeeping matches the
+// state it summarizes: drainSet marks exactly the nonzero drain entries,
+// and each port's ring is zero outside [base, top) and reserves top-1.
+func checkDerived(t *testing.T, c *Core, when string) {
+	t.Helper()
+	for pac, d := range c.bndstrDrain {
+		if marked := c.drainSet[pac>>6]>>(pac&63)&1 == 1; marked != (d != 0) {
+			t.Fatalf("%s: PAC %d drains at %d but is marked %v", when, pac, d, marked)
+		}
+	}
+	for _, s := range []*portSched{&c.port, &c.dPort} {
+		for cyc := s.base; cyc < s.base+uint64(len(s.ring)); cyc++ {
+			if cyc >= s.top && s.ring[cyc&s.mask] != 0 {
+				t.Fatalf("%s: cycle %d reserved at or beyond top %d (base %d)", when, cyc, s.top, s.base)
+			}
+		}
+		if s.top > s.base && s.ring[(s.top-1)&s.mask] == 0 {
+			t.Fatalf("%s: top %d is past no reservation (base %d)", when, s.top, s.base)
+		}
+	}
+}
+
+// TestRestoreSkipsTelemetryWindow: a restore consumes no instructions and
+// runs no cycles, so the attached flight recorder keeps the jump in the
+// core's statistics and commit clock out of its windows: after a fresh
+// core restores one that had consumed half a stream, each sample's
+// cumulative cpu_insts_total and cpu_cycles_total count only what the
+// core consumed and committed since the restore.
+func TestRestoreSkipsTelemetryWindow(t *testing.T) {
+	stream := genStream(t, instrument.AOS, 20_000)
+	half := len(stream) / 2
+	a := New(DefaultConfig())
+	for i := range stream[:half] {
+		a.Emit(&stream[i])
+	}
+	snap := a.Snapshot()
+
+	b := New(DefaultConfig())
+	tl := telemetry.NewTimeline(telemetry.NewRegistry(), 256)
+	b.AttachTelemetry(tl)
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := half; i < len(stream); i++ {
+		b.Emit(&stream[i])
+	}
+	if len(tl.Samples()) < 2 {
+		t.Fatalf("test is vacuous: %d samples", len(tl.Samples()))
+	}
+	for i, row := range tl.Samples() {
+		got, err := tl.Value(i, "cpu_insts_total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := row.Insts - a.Insts(); got != want {
+			t.Fatalf("sample %d: cpu_insts_total %d, but the core consumed %d since the restore", i, got, want)
+		}
+		cycles, err := tl.Value(i, "cpu_cycles_total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := row.Cycle - a.LastCommit(); cycles != want {
+			t.Fatalf("sample %d: cpu_cycles_total %d, but the core committed for %d cycles since the restore", i, cycles, want)
 		}
 	}
 }
@@ -285,9 +357,10 @@ func TestCoreSnapshotComplete(t *testing.T) {
 	operational := map[string]bool{
 		// cfg is construction-time; wayScratch is a reusable scratch
 		// buffer; observer/tel/nextSample are host-side instrumentation;
-		// mode is the runtime consumption switch.
+		// mode is the runtime consumption switch; drainSet is derived
+		// from the drain table, and Restore rebuilds it (checkDerived).
 		"cfg": true, "wayScratch": true, "observer": true,
-		"tel": true, "nextSample": true, "mode": true,
+		"tel": true, "nextSample": true, "mode": true, "drainSet": true,
 	}
 	typ := reflect.TypeOf(Core{})
 	for i := 0; i < typ.NumField(); i++ {

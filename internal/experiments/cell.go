@@ -227,10 +227,12 @@ func (c Cell) runSampled(ctx context.Context, o Options, p *workload.Profile, m 
 		return isa.Counts{}, nil, err
 	}
 	scfg := sampling.Config{Schedule: sched}
-	// A restore replays no instructions, which would desynchronize a
-	// teeing protocol checker mid-stream; sanitized cells sample cold so
-	// the checker sees the complete, uncut trace.
-	if o.checkpoints != nil && !o.Sanitize {
+	// A restore replays no instructions: it would desynchronize a teeing
+	// protocol checker mid-stream, and it skips each window's detailed
+	// warm-up, whose commits the flight recorder samples. Sanitized and
+	// recorded cells sample cold, so the checker sees the complete trace
+	// and the timeline every sample.
+	if o.checkpoints != nil && !o.Sanitize && tl == nil {
 		scfg.Store = o.checkpoints
 		scfg.Key = sampling.KeySpec{
 			Benchmark:    p.Name,

@@ -167,50 +167,46 @@ func TestSampledTelemetryAnnotated(t *testing.T) {
 	checkWindowIPC(t, tl)
 }
 
-// TestSampledTelemetryResumedMatchesCold: a checkpoint restore skips the
-// instructions of a fast-forward gap, and the timing core's probes leave
-// them out of their windows either way, while the machine's gauges re-read
-// the restored state and its counters resume from the totals the
-// checkpoint carries, so a resumed run records the cold run's samples.
+// TestSampledTelemetryResumedMatchesCold: a recorded sampled cell ignores
+// the checkpoint store, because a restore skips each window's detailed
+// warm-up, whose commits the flight recorder samples. With a store
+// attached it neither reads nor writes it, and records exactly the samples
+// and slices of the same cell run without one. Restores with the recorder
+// attached stay possible through sampling.Run; core's
+// TestRestoreRefreshesTelemetry and cpu's TestRestoreSkipsTelemetryWindow
+// pin what the recorder reads across one.
 func TestSampledTelemetryResumedMatchesCold(t *testing.T) {
-	// omnetpp frees during its run, so hbt_clears_total moves too. No
-	// scaled profile resizes its table: hbt_migrated_bytes_total reads 0.
+	// omnetpp frees during its run, so hbt_clears_total moves too.
 	for _, bench := range []string{"mcf", "omnetpp"} {
 		spec := SimSpec{
 			Benchmark: bench, Scheme: "aos", Instructions: 120_000, Seed: 7,
 			Sampling: &SamplingSpec{Windows: 4, Detail: 1_000, Window: 4_000},
 		}
+		trace := func(rc RunConfig) []byte {
+			t.Helper()
+			_, tl, err := RunSpecFull(context.Background(), spec, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tl.Samples()) == 0 {
+				t.Fatalf("%s: the run recorded no samples", bench)
+			}
+			var buf bytes.Buffer
+			if err := tl.WriteTraceEvents(&buf, bench); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		want := trace(RunConfig{TelemetryInterval: 512})
 		rc := RunConfig{Checkpoints: sampling.NewStore(), TelemetryInterval: 512}
-		_, cold, err := RunSpecFull(context.Background(), spec, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, resumed, err := RunSpecFull(context.Background(), spec, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hits, _, _ := rc.Checkpoints.Stats(); hits == 0 {
-			t.Fatalf("%s: resumed run did not hit the store", bench)
-		}
-		if len(cold.Samples()) == 0 || len(cold.Samples()) != len(resumed.Samples()) {
-			t.Fatalf("%s: cold run recorded %d samples, resumed %d", bench, len(cold.Samples()), len(resumed.Samples()))
-		}
-		for _, name := range []string{
-			"cpu_insts_total", "cpu_cycles_total", "cpu_ipc_milli", "mcu_checked_ops_total",
-			"mcu_bounds_accesses_total", "mcu_bwb_hits_total", "mcu_bwb_misses_total",
-			"hbt_assoc_ways", "hbt_live_entries", "hbt_capacity_entries", "heap_live_chunks",
-			"heap_live_bytes", "hbt_inserts_total", "hbt_clears_total", "hbt_migrated_bytes_total",
-		} {
-			for i := range cold.Samples() {
-				c, err := cold.Value(i, name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, _ := resumed.Value(i, name)
-				if c != r {
-					t.Errorf("%s sample %d: resumed %s = %d, cold %d", bench, i, name, r, c)
-					break
-				}
+		for pass := 0; pass < 2; pass++ {
+			got := trace(rc)
+			if hits, misses, entries := rc.Checkpoints.Stats(); hits != 0 || misses != 0 || entries != 0 {
+				t.Fatalf("%s pass %d: a recorded run used the store: %d hits, %d misses, %d entries",
+					bench, pass, hits, misses, entries)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s pass %d: the run with a store recorded a different timeline", bench, pass)
 			}
 		}
 	}

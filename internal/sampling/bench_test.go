@@ -131,6 +131,52 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkSampledResume times resumed sampled cells, the per-layer twin
+// of perfbench's sampled minsts_per_s. Each op builds a cell of the
+// profile's own budget (warmup half of it, 16 windows) and runs it from a
+// store that holds all of its checkpoints, so it runs only its measurement
+// windows and restores 17 checkpoints. The cold run that fills the store
+// is outside the timer.
+func BenchmarkSampledResume(b *testing.B) {
+	for _, bench := range []string{"gcc", "milc"} {
+		b.Run(bench+"/AOS", func(b *testing.B) {
+			p, ok := workload.ByName(bench)
+			if !ok {
+				b.Fatalf("no %s profile", bench)
+			}
+			sched, err := Schedule{Windows: 16, Warmup: p.Instructions / 2}.Normalize(p.Instructions)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Schedule: sched, Store: NewStore(), Key: KeySpec{
+				Benchmark: bench, Seed: 1, Instructions: p.Instructions, Scheme: instrument.AOS.String(),
+			}}
+			run := func() *Result {
+				m, err := core.New(core.Config{Scheme: instrument.AOS, CodeFootprint: p.CodeFootprint})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c := cpu.New(cpu.DefaultConfig())
+				m.SetSink(c)
+				m.SetBatch(core.EmitBatchSize)
+				res, err := Run(context.Background(), p, m, c, 1, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := run(); res.Misses != 0 {
+					b.Fatalf("a resumed run missed %d checkpoints", res.Misses)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRunnerRestore times the workload runner's part of a restore
 // after gcc/AOS's set-up: building a runner from the state, as a cell's
 // first restore does, and restoring the cell's runner in place, as every

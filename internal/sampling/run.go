@@ -28,11 +28,13 @@ type Config struct {
 	// profile's instruction budget.
 	Schedule Schedule
 	// Store, when non-nil, enables checkpoint reuse at every boundary —
-	// each window start and the end of the run: a boundary's checkpoint
-	// is restored when the store holds it, and stored after the cell
-	// fast-forwards to it otherwise. A fully warm store turns the run into
-	// its detailed windows plus Windows+1 restores — this is where the
-	// order-of-magnitude effective speedup comes from.
+	// the end of each window's U segment and the end of the run: a
+	// boundary's checkpoint is restored when the store holds it, and
+	// stored after the cell fast-forwards to the window's start and runs
+	// U otherwise. A fully warm store turns the run into its measurement
+	// windows plus Windows+1 restores — this is where the
+	// order-of-magnitude effective speedup comes from. A resumed window
+	// runs no U segment, so attached telemetry records no samples for it.
 	Store *Store
 	// Key identifies the simulation cell for checkpoint addressing; the
 	// Schedule and Boundary fields are filled in by Run.
@@ -48,9 +50,10 @@ type Result struct {
 	Est      *Estimate
 	Segments []Segment
 	// WarmCounts is the machine's architectural counts at the start of
-	// the measurement region (the window-0 boundary), for warmup
-	// subtraction — identical whether the run reached the boundary by
-	// fast-forwarding or by checkpoint restore.
+	// the measurement region (window 0's start), for warmup subtraction —
+	// read off the machine when the run fast-forwards there, and from
+	// the checkpoint when it restores window 0's, so identical either
+	// way.
 	WarmCounts isa.Counts
 	// Hits/Misses count this run's checkpoint lookups, one per boundary
 	// (subset of the store's lifetime counters).
@@ -98,9 +101,11 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 	}
 
 	windows := make([]WindowStat, 0, sched.Windows)
-	// Boundary i < Windows is window i's start and boundary Windows is the
-	// end of the run. The cell reaches each one by restoring its
-	// checkpoint, or by fast-forwarding to it and storing one.
+	// Boundary i < Windows is the end of window i's U segment, where its
+	// measurement starts, and boundary Windows is the end of the run. The
+	// cell reaches each one by restoring its checkpoint, or by
+	// fast-forwarding to the window's start (the run's end), running U in
+	// detail, and storing one.
 	for i := 0; i <= sched.Windows; i++ {
 		at := total
 		if i < sched.Windows {
@@ -124,11 +129,16 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 			if r, err = cp.restore(p, m, c, r); err != nil {
 				return nil, fmt.Errorf("sampling: boundary %d: %w", i, err)
 			}
+			if i == 0 {
+				res.WarmCounts = cp.Warm
+			}
+			c.SetMode(cpu.ModeDetailed)
+			beginSeg()
 		} else {
-			// Fast-forward (functionally warming) to the boundary. The
-			// workload's setup phase also runs in FF mode: its emissions
-			// only warm state the first window's U segment re-settles
-			// anyway.
+			// Fast-forward (functionally warming) to the window's start.
+			// The workload's setup phase also runs in FF mode: its
+			// emissions only warm state the first window's U segment
+			// re-settles anyway.
 			c.SetMode(cpu.ModeFastForward)
 			beginSeg()
 			if r == nil {
@@ -143,33 +153,35 @@ func Run(ctx context.Context, p *workload.Profile, m *core.Machine, c *cpu.Core,
 			endSeg(false)
 			if i == 0 {
 				// Measurement region begins here; the reset lands in the
-				// checkpoint below, so resumed runs inherit it.
+				// checkpoints below, so resumed runs inherit it.
 				c.ResetStats()
+				res.WarmCounts = m.Counts()
+			}
+			c.SetMode(cpu.ModeDetailed)
+			beginSeg()
+			if i < sched.Windows {
+				// U: detailed warmup, which re-settles pipeline and queue
+				// transients after the mode switch. Its only product is
+				// the state W starts from, which the checkpoint keeps.
+				if err := r.RunTo(ctx, at+sched.Detail, total); err != nil {
+					return nil, err
+				}
+				m.Flush()
 			}
 			if cfg.Store != nil {
 				cfg.Store.Put(key, &Checkpoint{
 					Machine: m.Snapshot(), // flushes m first
 					Core:    c.Snapshot(),
 					Runner:  r.State(),
+					Warm:    res.WarmCounts,
 				})
 			}
 		}
-		c.SetMode(cpu.ModeDetailed)
 		if i == sched.Windows {
 			break
 		}
 
-		if i == 0 {
-			res.WarmCounts = m.Counts()
-		}
-
-		// U: detailed warmup (re-settles pipeline/queue transients after
-		// the mode switch or restore), then W: the measurement window.
-		beginSeg()
-		if err := r.RunTo(ctx, at+sched.Detail, total); err != nil {
-			return nil, err
-		}
-		m.Flush()
+		// W: the measurement window.
 		wc, wi := c.LastCommit(), c.Insts()
 		if err := r.RunTo(ctx, at+sched.Detail+sched.Window, total); err != nil {
 			return nil, err

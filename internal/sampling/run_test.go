@@ -37,8 +37,9 @@ func testSchedule() Schedule {
 // checkpoint store must produce the byte-identical estimate, architectural
 // state (counts, exception log, heap statistics, bounds-table resizes) and
 // timing statistics of the cold run that populated the store — for every
-// protection scheme — and must run only its detailed windows: every
-// boundary, the end of the run included, is a restore.
+// protection scheme — and must run only its measurement windows: every
+// boundary, the end of the run included, is a restore, and no U segment
+// runs again.
 func TestSampledColdVsResumedByteIdentical(t *testing.T) {
 	for _, scheme := range instrument.AllSchemes() {
 		p, m, c := sampledCell(t, scheme)
@@ -76,6 +77,14 @@ func TestSampledColdVsResumedByteIdentical(t *testing.T) {
 				t.Fatalf("%v: resumed run fast-forwarded instructions %d..%d", scheme, seg.StartInst, seg.EndInst)
 			}
 		}
+		if got := detailedInsts(warm); got != cold.Est.SampledInsts {
+			t.Fatalf("%v: resumed run's detailed segments consumed %d instructions, its windows measured %d",
+				scheme, got, cold.Est.SampledInsts)
+		}
+		if got := detailedInsts(cold); got <= cold.Est.SampledInsts {
+			t.Fatalf("%v: cold run's detailed segments consumed %d instructions, no more than its windows' %d",
+				scheme, got, cold.Est.SampledInsts)
+		}
 		if !reflect.DeepEqual(warm.Est, cold.Est) {
 			t.Fatalf("%v: estimates diverged:\ncold %+v\nwarm %+v", scheme, cold.Est, warm.Est)
 		}
@@ -96,6 +105,84 @@ func TestSampledColdVsResumedByteIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(c2.Finalize(), coldCPU) {
 			t.Fatalf("%v: timing statistics diverged", scheme)
+		}
+	}
+}
+
+// detailedInsts sums the instructions a run consumed in its detailed
+// segments.
+func detailedInsts(res *Result) uint64 {
+	var n uint64
+	for _, seg := range res.Segments {
+		if seg.Detailed {
+			n += seg.EndInst - seg.StartInst
+		}
+	}
+	return n
+}
+
+// TestSampledPartialStore: a run against a store that lacks one boundary's
+// checkpoint fast-forwards to that window's start (or to the end of the
+// run) and runs its U segment, restores every other boundary, and matches
+// the cold run's estimate and architectural and timing state — whether
+// the missing boundary is window 0's, a middle window's or the end's.
+func TestSampledPartialStore(t *testing.T) {
+	p, m, c := sampledCell(t, instrument.AOS)
+	sched, err := testSchedule().Normalize(p.Instructions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := NewStore()
+	key := KeySpec{Benchmark: p.Name, Seed: 7, Instructions: p.Instructions, Scheme: instrument.AOS.String()}
+	cold, err := Run(context.Background(), p, m, c, 7, Config{Schedule: sched, Store: full, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldCPU := c.Finalize()
+	for _, missing := range []int{0, sched.Windows / 2, sched.Windows} {
+		k := key
+		k.Schedule = sched
+		k.Boundary = missing
+		skip := k.Hash()
+		partial := NewStore()
+		for _, h := range full.Keys() {
+			if h != skip {
+				cp, _ := full.Get(h)
+				partial.Put(h, cp)
+			}
+		}
+		if _, _, entries := partial.Stats(); entries != sched.Windows {
+			t.Fatalf("boundary %d: partial store holds %d checkpoints, want %d", missing, entries, sched.Windows)
+		}
+
+		p2, m2, c2 := sampledCell(t, instrument.AOS)
+		got, err := Run(context.Background(), p2, m2, c2, 7, Config{Schedule: sched, Store: partial, Key: key})
+		if err != nil {
+			t.Fatalf("boundary %d: %v", missing, err)
+		}
+		if got.Hits != sched.Windows || got.Misses != 1 {
+			t.Fatalf("boundary %d: hits/misses = %d/%d, want %d/1", missing, got.Hits, got.Misses, sched.Windows)
+		}
+		if !reflect.DeepEqual(got.Est, cold.Est) {
+			t.Fatalf("boundary %d: estimates diverged:\ncold %+v\ngot  %+v", missing, cold.Est, got.Est)
+		}
+		if !reflect.DeepEqual(got.WarmCounts, cold.WarmCounts) {
+			t.Fatalf("boundary %d: warm-up counts diverged", missing)
+		}
+		if !reflect.DeepEqual(m2.Counts(), m.Counts()) {
+			t.Fatalf("boundary %d: machine counts diverged", missing)
+		}
+		if !reflect.DeepEqual(m2.Exceptions(), m.Exceptions()) {
+			t.Fatalf("boundary %d: exception logs diverged", missing)
+		}
+		if m2.Heap.Stats() != m.Heap.Stats() {
+			t.Fatalf("boundary %d: heap statistics diverged", missing)
+		}
+		if !reflect.DeepEqual(m2.OS.Resizes(), m.OS.Resizes()) {
+			t.Fatalf("boundary %d: bounds-table resizes diverged", missing)
+		}
+		if !reflect.DeepEqual(c2.Finalize(), coldCPU) {
+			t.Fatalf("boundary %d: timing statistics diverged", missing)
 		}
 	}
 }

@@ -4,9 +4,11 @@
 // windows are simulated with the full timing model, and whole-run cycle
 // counts are extrapolated from the window CPI with a confidence interval.
 // Checkpoints of the complete simulation state (functional machine, timing
-// core, workload position) taken at each window start and at the end of
-// the run are content-addressed in a Store, so later runs of the same
-// cell — and forks of it — skip every fast-forward gap, the tail included.
+// core, workload position) taken at the end of each window's detailed
+// warm-up and at the end of the run are content-addressed in a Store, so
+// later runs of the same cell skip every fast-forward gap, the tail
+// included, and every warm-up: a resumed window starts at its
+// measurement.
 package sampling
 
 import "fmt"

@@ -9,15 +9,17 @@ import (
 
 	"aos/internal/core"
 	"aos/internal/cpu"
+	"aos/internal/isa"
 	"aos/internal/workload"
 )
 
 // KeySpec names a checkpoint: the full identity of the simulation cell (a
 // scheme changes the architectural trace, so schemes never share
 // checkpoints) plus the schedule and the boundary the checkpoint was taken
-// at — Boundary i < Schedule.Windows is window i's start, and Boundary
-// Schedule.Windows is the end of the run. The key is the sha256 of the spec's canonical JSON —
-// struct field order is fixed, so encoding/json is canonical here.
+// at — Boundary i < Schedule.Windows is the end of window i's U segment,
+// and Boundary Schedule.Windows is the end of the run. The key is the
+// sha256 of the spec's canonical JSON — struct field order is fixed, so
+// encoding/json is canonical here.
 type KeySpec struct {
 	Benchmark    string   `json:"benchmark"`
 	Seed         int64    `json:"seed"`
@@ -50,6 +52,11 @@ type Checkpoint struct {
 	Machine *core.MachineState
 	Core    *cpu.CoreState
 	Runner  *workload.RunnerState
+	// Warm is the machine's counts at the start of the measurement
+	// region (Result.WarmCounts): a window's checkpoint lies past its U
+	// segment, so a run that restores window 0's cannot read them off
+	// the machine.
+	Warm isa.Counts
 }
 
 // Store is a content-addressed, in-memory checkpoint store shared across
